@@ -37,11 +37,12 @@ lint:
 lint-fix:
 	$(GO) run ./cmd/hcclint -baseline lint.baseline -fix ./...
 
-# Byte-identity gate for the protection-mode layer: every committed figure
-# golden, plus the cross-mode spelling-equivalence tests (off/tdx-h100
-# named modes vs the deprecated CC boolean must simulate identically).
+# Byte-identity gate for the simulator's output: every committed figure
+# golden, the named-vs-implicit platform spelling test, and the per-mode
+# Chrome-trace goldens under testdata/.
 golden:
 	$(GO) test ./internal/figures -run 'Golden|ModeSpelling' -count=1
+	$(GO) test . -run GoldenChromeTraces -count=1
 
 check: fmt-check vet lint golden race
 

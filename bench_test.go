@@ -112,15 +112,12 @@ func BenchmarkFullFigureSet(b *testing.B) {
 // BenchmarkAblationBounceBuffer isolates the bounce-buffer + encryption
 // stage: the same 256 MiB H2D transfer with CC on vs off.
 func BenchmarkAblationBounceBuffer(b *testing.B) {
-	for _, cc := range []bool{false, true} {
-		name := "base"
-		if cc {
-			name = "cc"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, m := range []struct{ name, mode string }{{"base", "off"}, {"cc", "tdx-h100"}} {
+		b.Run(m.name, func(b *testing.B) {
+			cfg := config(b, m.mode)
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
-				sys := NewSystem(DefaultConfig(cc))
+				sys := NewSystem(cfg)
 				elapsed = sys.Run(func(c *Context) {
 					h := c.MallocHost("h", 256<<20)
 					d := c.Malloc("d", 256<<20)
@@ -138,7 +135,7 @@ func BenchmarkAblationBounceBuffer(b *testing.B) {
 func BenchmarkAblationUVMBatch(b *testing.B) {
 	for _, pages := range []int{1, 2, 8, 32} {
 		b.Run("pages-"+strconv.Itoa(pages), func(b *testing.B) {
-			cfg := DefaultConfig(true)
+			cfg := config(b, "tdx-h100")
 			cfg.UVM.BatchPagesCC = pages
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -161,7 +158,7 @@ func BenchmarkAblationUVMBatch(b *testing.B) {
 func BenchmarkAblationCryptoChoice(b *testing.B) {
 	for _, alg := range []swcrypto.Algorithm{swcrypto.AES128GCM, swcrypto.AES256GCM, swcrypto.GHASHAlg} {
 		b.Run(string(alg), func(b *testing.B) {
-			cfg := DefaultConfig(true)
+			cfg := config(b, "tdx-h100")
 			cfg.TDX.CryptoAlg = alg
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -183,7 +180,7 @@ func BenchmarkAblationCryptoChoice(b *testing.B) {
 func BenchmarkAblationFenceInterval(b *testing.B) {
 	for _, iv := range []int{8, 24, 48, 96} {
 		b.Run("every-"+strconv.Itoa(iv), func(b *testing.B) {
-			cfg := DefaultConfig(true)
+			cfg := config(b, "tdx-h100")
 			cfg.Host.FenceInterval = iv
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
@@ -207,8 +204,10 @@ func BenchmarkWorkloadSC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	off, cc := config(b, "off"), config(b, "tdx-h100")
 	for i := 0; i < b.N; i++ {
-		workloads.Pair(spec, workloads.CopyExecute)
+		workloads.Execute(spec, workloads.CopyExecute, off)
+		workloads.Execute(spec, workloads.CopyExecute, cc)
 	}
 }
 
@@ -218,12 +217,12 @@ func BenchmarkCNNIteration(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, CC: true})
+		nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
 	}
 }
 
 func BenchmarkLLMStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, CC: true})
+		nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: nn.BF16, Batch: 32, Mode: "tdx-h100"})
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"hccsim"
+	"hccsim/internal/serve"
 	"hccsim/internal/tab"
 )
 
@@ -214,8 +215,8 @@ func parseRates(s string) ([]float64, error) {
 	out := make([]float64, len(fields))
 	for i, f := range fields {
 		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("hccserve: rate %q must be a positive number", f)
+		if err != nil || serve.CheckRate(v) != nil {
+			return nil, fmt.Errorf("hccserve: rate %q must be a finite positive number", f)
 		}
 		out[i] = v
 	}

@@ -37,6 +37,7 @@ import (
 	"hccsim/internal/ccmode"
 	"hccsim/internal/figures"
 	"hccsim/internal/platform"
+	"hccsim/internal/serve"
 	"hccsim/internal/workloads"
 )
 
@@ -178,7 +179,7 @@ func parsePlatforms(s string, axes []batch.Axis) ([]string, error) {
 
 // buildJobs expands the app/mode/platform/parameter axes into the job grid.
 func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platforms []string, axes []batch.Axis) ([]batch.Job, error) {
-	ccModes, err := parseModes(modes)
+	modeNames, err := parseModes(modes)
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +195,10 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 			if err != nil {
 				return nil, err
 			}
-			for _, m := range ccModes {
-				jobs = append(jobs, m.apply(batch.WorkloadJob(name, false, m.cc)))
+			for _, m := range modeNames {
+				jobs = append(jobs, batch.WorkloadJob(name, false, m))
 				if uvm && spec.UVMCapable {
-					jobs = append(jobs, m.apply(batch.WorkloadJob(name, true, m.cc)))
+					jobs = append(jobs, batch.WorkloadJob(name, true, m))
 				}
 			}
 		}
@@ -207,8 +208,8 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ccModes {
-			jobs = append(jobs, m.apply(batch.CNNJob(model, b, prec, m.cc)))
+		for _, m := range modeNames {
+			jobs = append(jobs, batch.CNNJob(model, b, prec, m))
 		}
 	}
 	for _, cell := range splitCells(llms) {
@@ -216,8 +217,8 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ccModes {
-			jobs = append(jobs, m.apply(batch.LLMJob(backend, quant, b, m.cc)))
+		for _, m := range modeNames {
+			jobs = append(jobs, batch.LLMJob(backend, quant, b, m))
 		}
 	}
 	for _, cell := range splitCells(serves) {
@@ -225,10 +226,10 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ccModes {
+		for _, m := range modeNames {
 			j := batch.ServeJob(backend, quant, rate)
-			j.CC = m.cc
-			jobs = append(jobs, m.apply(j))
+			j.Mode = m
+			jobs = append(jobs, j)
 		}
 	}
 	if len(platforms) > 0 {
@@ -246,40 +247,57 @@ func buildJobs(apps, cnns, llms, serves string, uvm bool, modes string, platform
 			jobs = batch.Grid(jobs, ax.Param, ax.Values)
 		}
 	}
-	return jobs, nil
+	return resolveNative(jobs), nil
 }
 
-// jobMode is one -modes entry: the legacy cc/base spellings keep the
-// deprecated boolean jobs (and their labels and cache keys), anything else
-// is a protection-mode name resolved through ccmode.ByName.
-type jobMode struct {
-	mode string // canonical mode name; "" for a legacy cc/base entry
-	cc   bool
-}
+// nativeMode is the -modes entry "cc": the native protection mode of the
+// job's platform (tdx-h100 on h100-tdx, tee-io-bridge on b300-bridge).
+// Jobs carry it through the grid expansion and resolveNative replaces it
+// once every job has its platform.
+const nativeMode = "cc"
 
-func (m jobMode) apply(j batch.Job) batch.Job {
-	j.Mode = m.mode
-	return j
-}
-
-func parseModes(s string) ([]jobMode, error) {
-	var out []jobMode
+// parseModes resolves the -modes list to canonical mode names ("base" is
+// off), keeping "cc" as nativeMode.
+func parseModes(s string) ([]string, error) {
+	var out []string
 	for _, m := range strings.Split(s, ",") {
-		switch name := strings.TrimSpace(m); name {
-		case "cc":
-			out = append(out, jobMode{cc: true})
-		case "base":
-			out = append(out, jobMode{})
-		default:
-			cm, err := ccmode.ByName(name)
-			if err != nil {
-				return nil, fmt.Errorf("hccsweep: unknown mode %q (want cc, base, or one of %s)",
-					name, strings.Join(ccmode.Names(), ", "))
-			}
-			out = append(out, jobMode{mode: cm.Name()})
+		name := strings.TrimSpace(m)
+		if name == nativeMode {
+			out = append(out, nativeMode)
+			continue
 		}
+		cm, err := ccmode.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("hccsweep: unknown mode %q (want cc, base, or one of %s)",
+				name, strings.Join(ccmode.Names(), ", "))
+		}
+		out = append(out, cm.Name())
 	}
 	return out, nil
+}
+
+// resolveNative gives every job still spelled nativeMode its platform's
+// native mode, then drops jobs that now repeat an earlier job's cache key
+// (first occurrence wins, as in batch.GridModes), so the output stays
+// byte-identical at any -parallel level.
+func resolveNative(jobs []batch.Job) []batch.Job {
+	out := jobs[:0]
+	seen := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		if j.Mode == nativeMode {
+			if p, err := platform.ByName(j.Platform); err == nil {
+				j.Mode = p.NativeMode()
+			}
+		}
+		if key, err := j.Key(); err == nil {
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+		}
+		out = append(out, j)
+	}
+	return out
 }
 
 func splitCells(s string) []string {
@@ -309,8 +327,8 @@ func parseServeCell(cell string) (string, string, float64, error) {
 		return "", "", 0, fmt.Errorf("hccsweep: want backend:quant:rateQPS, got %q", cell)
 	}
 	rate, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || rate <= 0 {
-		return "", "", 0, fmt.Errorf("hccsweep: rate in %q must be a positive number", cell)
+	if err != nil || serve.CheckRate(rate) != nil {
+		return "", "", 0, fmt.Errorf("hccsweep: rate in %q must be a finite positive number", cell)
 	}
 	return parts[0], parts[1], rate, nil
 }

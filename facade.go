@@ -16,8 +16,7 @@ import (
 // Spec selects a simulated system for the options-based facade API: which
 // hardware platform, which protection mode, and whether workloads use the
 // managed-memory (UVM) variant. The zero value is the paper's Table I
-// testbed with protection off. Spec replaces the positional boolean/string
-// arguments of the deprecated DefaultConfig/NewConfig/RunWorkload family.
+// testbed with protection off.
 type Spec struct {
 	// Platform names the hardware profile (Platforms); "" resolves to the
 	// default h100-tdx testbed.
@@ -57,30 +56,17 @@ func NewObserver() *Observer { return obs.New() }
 
 // Configure resolves a Spec into the full layer configuration: the
 // platform's calibration under the named protection mode, validated
-// against the platform's legal mode set. It subsumes the deprecated
-// DefaultConfig/NewConfig/PlatformConfig constructors.
-func Configure(s Spec) (Config, error) {
-	mode := s.Mode
-	if mode == "" {
-		mode = "off"
-	}
-	return cuda.PlatformConfig(s.Platform, mode)
-}
+// against the platform's legal mode set.
+func Configure(s Spec) (Config, error) { return cuda.PlatformConfig(s.Platform, s.Mode) }
 
 // Run executes the named workload application on the system the spec
 // describes and returns its fitted Section V model.
-func Run(name string, s Spec) (Model, error) {
-	cfg, err := Configure(s)
-	if err != nil {
-		return Model{}, err
-	}
-	return runWorkloadWith(name, s.UVM, cfg)
-}
+func Run(name string, s Spec) (Model, error) { return RunObserved(name, s, nil) }
 
 // RunObserved is Run with an observability layer attached for the whole
 // run: every substrate opens spans on o and publishes its end-of-run
 // counters into o's metrics registry. Export the result with
-// o.WriteChromeTrace or o.WriteSummary.
+// o.WriteChromeTrace or o.WriteSummary. A nil o records nothing (plain Run).
 func RunObserved(name string, s Spec, o *Observer) (Model, error) {
 	cfg, err := Configure(s)
 	if err != nil {

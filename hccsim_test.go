@@ -7,9 +7,19 @@ import (
 	"time"
 )
 
+// config is the Table I system under the named protection mode.
+func config(tb testing.TB, mode string) Config {
+	tb.Helper()
+	cfg, err := Configure(Spec{Mode: mode})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg
+}
+
 func TestQuickstartSession(t *testing.T) {
-	for _, cc := range []bool{false, true} {
-		sys := NewSystem(DefaultConfig(cc))
+	for _, mode := range []string{"off", "tdx-h100"} {
+		sys := NewSystem(config(t, mode))
 		elapsed := sys.Run(func(c *Context) {
 			h := c.HostBuffer("in", 64<<20)
 			d := c.Malloc("buf", 64<<20)
@@ -21,14 +31,14 @@ func TestQuickstartSession(t *testing.T) {
 			c.Free(d)
 		})
 		if elapsed <= 0 {
-			t.Fatalf("cc=%v: no simulated time elapsed", cc)
+			t.Fatalf("%s: no simulated time elapsed", mode)
 		}
 		m := sys.Model()
 		if m.Kernels != 1 || m.Launches != 1 {
-			t.Fatalf("cc=%v: model counted %d kernels, %d launches", cc, m.Kernels, m.Launches)
+			t.Fatalf("%s: model counted %d kernels, %d launches", mode, m.Kernels, m.Launches)
 		}
 		if m.Tmem <= 0 || m.Total <= 0 {
-			t.Fatalf("cc=%v: empty model %+v", cc, m)
+			t.Fatalf("%s: empty model %+v", mode, m)
 		}
 	}
 }
@@ -44,7 +54,7 @@ func TestCompareModes(t *testing.T) {
 		c.Sync()
 		c.Free(d)
 	}
-	base, cc, ratio := CompareModes(DefaultConfig(false), app)
+	base, cc, ratio := CompareModes(config(t, "off"), app)
 	if cc.Total <= base.Total {
 		t.Fatalf("CC total (%v) not above base (%v)", cc.Total, base.Total)
 	}
@@ -63,15 +73,21 @@ func TestWorkloadAccess(t *testing.T) {
 	if _, err := WorkloadByName("sc"); err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunWorkload("2mm", false, true)
+	m, err := Run("2mm", Spec{Mode: "tdx-h100"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Kernels != 2 {
 		t.Fatalf("2mm model has %d kernels", m.Kernels)
 	}
-	if _, err := RunWorkload("nope", false, false); err == nil {
+	if _, err := Run("nope", Spec{}); err == nil {
 		t.Fatal("expected error for unknown workload")
+	}
+	if _, err := Run("2mm", Spec{Mode: "h100"}); err == nil {
+		t.Error("Run accepted an unknown mode")
+	}
+	if _, err := Run("2mm", Spec{Platform: "dgx"}); err == nil {
+		t.Error("Run accepted an unknown platform")
 	}
 }
 
@@ -92,35 +108,43 @@ func TestFigureAccess(t *testing.T) {
 }
 
 func TestNNAccess(t *testing.T) {
-	r, err := TrainCNN("resnet50", 64, "fp32", true)
+	cc := Spec{Mode: "tdx-h100"}
+	r, err := Train("resnet50", 64, "fp32", cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Throughput <= 0 {
+	if r.Throughput <= 0 || r.Config.Mode != "tdx-h100" {
 		t.Fatalf("bad training result %+v", r)
 	}
-	if _, err := TrainCNN("resnet50", 64, "int8", true); err == nil {
+	if _, err := Train("resnet50", 64, "int8", cc); err == nil {
 		t.Fatal("expected error for unknown precision")
 	}
-	if _, err := TrainCNN("alexnet", 64, "fp32", true); err == nil {
+	if _, err := Train("alexnet", 64, "fp32", cc); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
-	l, err := ServeLLM("vllm", "awq", 8, true)
+	l, err := Serve("vllm", "awq", 8, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.TokensPerSec <= 0 {
+	if l.TokensPerSec <= 0 || l.Config.Mode != "tdx-h100" {
 		t.Fatalf("bad LLM result %+v", l)
 	}
-	if _, err := ServeLLM("tensorrt", "bf16", 8, true); err == nil {
+	if _, err := Serve("tensorrt", "bf16", 8, cc); err == nil {
 		t.Fatal("expected error for unknown backend")
 	} else if _, ok := err.(*UnknownBackendError); !ok {
 		t.Fatalf("want *UnknownBackendError, got %T: %v", err, err)
 	}
-	if _, err := ServeLLM("vllm", "int4", 8, true); err == nil {
+	if _, err := Serve("vllm", "int4", 8, cc); err == nil {
 		t.Fatal("expected error for unknown quantization")
 	} else if _, ok := err.(*UnknownQuantError); !ok {
 		t.Fatalf("want *UnknownQuantError, got %T: %v", err, err)
+	}
+	// Train and Serve model the h100-tdx testbed only.
+	if _, err := Train("resnet50", 64, "amp", Spec{Platform: "b300-bridge", Mode: "tee-io-bridge"}); err == nil {
+		t.Error("Train accepted a non-h100-tdx platform")
+	}
+	if _, err := Serve("vllm", "awq", 8, Spec{Platform: "b300-bridge", Mode: "tee-io-bridge"}); err == nil {
+		t.Error("Serve accepted a non-h100-tdx platform")
 	}
 }
 
@@ -128,7 +152,7 @@ func TestNNAccess(t *testing.T) {
 // second Run call must panic with a clear message instead of silently
 // reusing consumed engine state.
 func TestRunOnce(t *testing.T) {
-	sys := NewSystem(DefaultConfig(false))
+	sys := NewSystem(config(t, "off"))
 	app := func(c *Context) {
 		d := c.Malloc("d", 1<<20)
 		c.Free(d)
@@ -150,8 +174,8 @@ func TestRunOnce(t *testing.T) {
 // results must be byte-identical and keep submission order.
 func TestRunJobs(t *testing.T) {
 	jobs := []Job{
-		{Kind: "workload", Workload: "2mm", CC: false},
-		{Kind: "workload", Workload: "2mm", CC: true,
+		{Kind: "workload", Workload: "2mm", Mode: "off"},
+		{Kind: "workload", Workload: "2mm", Mode: "tdx-h100",
 			Overrides: []Override{{Param: "PCIeGBps", Value: 16}}},
 	}
 	dir := t.TempDir()

@@ -24,7 +24,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := workloads.Execute(spec, workloads.CopyExecute, cuda.DefaultConfig(true))
+		res := workloads.Execute(spec, workloads.CopyExecute, config(t, "tdx-h100"))
 		var buf bytes.Buffer
 		if err := res.Runtime.Tracer().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -43,15 +43,15 @@ func TestDeterminism(t *testing.T) {
 // timeline it was fitted to.
 func TestModelIdentityAcrossSuite(t *testing.T) {
 	for _, spec := range workloads.All() {
-		for _, cc := range []bool{false, true} {
-			res := workloads.Execute(spec, workloads.CopyExecute, cuda.DefaultConfig(cc))
+		for _, mode := range []string{"off", "tdx-h100"} {
+			res := workloads.Execute(spec, workloads.CopyExecute, config(t, mode))
 			m := core.Decompose(res.Runtime.Tracer())
 			diff := m.Predict() - m.Total
 			if diff < 0 {
 				diff = -diff
 			}
 			if float64(diff) > 0.02*float64(m.Total) {
-				t.Errorf("%s cc=%v: predict %v vs total %v", spec.Name, cc, m.Predict(), m.Total)
+				t.Errorf("%s %s: predict %v vs total %v", spec.Name, mode, m.Predict(), m.Total)
 			}
 		}
 	}
@@ -62,7 +62,7 @@ func TestModelIdentityAcrossSuite(t *testing.T) {
 // staging conserves data).
 func TestByteConservation(t *testing.T) {
 	const n = 128 << 20
-	sys := NewSystem(DefaultConfig(true))
+	sys := NewSystem(config(t, "tdx-h100"))
 	sys.Run(func(c *Context) {
 		h := c.HostBuffer("h", n)
 		d := c.Malloc("d", n)
@@ -84,8 +84,7 @@ func TestByteConservation(t *testing.T) {
 // TestUVMOversubscription drives a managed working set larger than the
 // resident limit and requires eviction traffic plus forward progress.
 func TestUVMOversubscription(t *testing.T) {
-	cfg := DefaultConfig(false)
-	sys := NewSystem(cfg)
+	sys := NewSystem(config(t, "off"))
 	sys.Runtime().Device().UVM().SetResidentLimit(64 << 20)
 	sys.Run(func(c *Context) {
 		a := c.MallocManaged("a", 48<<20)
@@ -115,7 +114,7 @@ func TestUVMOversubscription(t *testing.T) {
 func TestHypercallAccountingScalesWithLaunches(t *testing.T) {
 	countFor := func(launches int) uint64 {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(true))
+		rt := cuda.New(eng, config(t, "tdx-h100"))
 		eng.Spawn("host", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			for i := 0; i < launches; i++ {
@@ -128,7 +127,7 @@ func TestHypercallAccountingScalesWithLaunches(t *testing.T) {
 	}
 	base := countFor(48)
 	more := countFor(480)
-	want := uint64((480 - 48) / cuda.DefaultConfig(false).Host.FenceInterval)
+	want := uint64((480 - 48) / config(t, "off").Host.FenceInterval)
 	if got := more - base; got != want {
 		t.Fatalf("hypercall growth %d for 432 extra launches, want %d", got, want)
 	}
@@ -138,7 +137,7 @@ func TestHypercallAccountingScalesWithLaunches(t *testing.T) {
 // every application in the suite.
 func TestBounceBufferNeverLeaks(t *testing.T) {
 	for _, spec := range workloads.All() {
-		res := workloads.Execute(spec, workloads.CopyExecute, cuda.DefaultConfig(true))
+		res := workloads.Execute(spec, workloads.CopyExecute, config(t, "tdx-h100"))
 		if used := res.Runtime.Platform().BounceInUse(); used != 0 {
 			t.Errorf("%s: %d bounce bytes leaked", spec.Name, used)
 		}
@@ -154,12 +153,10 @@ func TestTEEIOEndToEndThroughFacade(t *testing.T) {
 		c.Memcpy(d, h, 64<<20)
 		c.Free(d)
 	}
-	stock := NewSystem(DefaultConfig(true))
+	stock := NewSystem(config(t, "tdx-h100"))
 	stockT := stock.Run(app)
 
-	cfg := DefaultConfig(true)
-	cfg.TDX.TEEIO = true
-	connect := NewSystem(cfg)
+	connect := NewSystem(config(t, "tee-io-direct"))
 	connectT := connect.Run(app)
 
 	if connectT >= stockT/3 {

@@ -2,11 +2,10 @@ package batch
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"hccsim/internal/ccmode"
 	"hccsim/internal/core"
+	"hccsim/internal/cuda"
 	"hccsim/internal/tab"
 	"hccsim/internal/units"
 )
@@ -65,10 +64,9 @@ func SweepTable(results []Result) tab.Table {
 
 // RatioTable pairs results that differ only in protection mode and reports
 // component-wise protected/base ratios — the sweep-level analogue of the
-// normalized bars of Figs. 5-7. Legacy CC-boolean pairs keep their original
-// one-row-per-point form; named-mode jobs produce one row per protected
-// mode, each against the point's unprotected sibling. Unpaired or
-// model-less results are skipped.
+// normalized bars of Figs. 5-7: one row per protected mode, each against
+// the point's unprotected sibling. Unpaired or model-less results are
+// skipped.
 func RatioTable(results []Result) tab.Table {
 	t := tab.Table{
 		ID:      "sweep-ratio",
@@ -90,7 +88,7 @@ func RatioTable(results []Result) tab.Table {
 		if r.Err != nil || r.Payload.Model == nil {
 			continue
 		}
-		cc, mode := jobCCMode(r.Job)
+		cc, mode := jobMode(r.Job)
 		key := pairKey(r.Job)
 		g, ok := groups[key]
 		if !ok {
@@ -102,10 +100,7 @@ func RatioTable(results []Result) tab.Table {
 			g.base = r.Payload.Model
 			continue
 		}
-		label := key
-		if mode != "" {
-			label = key + "/" + mode
-		}
+		label := key + "/" + mode
 		replaced := false
 		for e := range g.prot {
 			if g.prot[e].label == label {
@@ -132,27 +127,19 @@ func RatioTable(results []Result) tab.Table {
 	return t
 }
 
-// jobCCMode classifies a job for ratio pairing: whether it runs protected,
-// and the mode-name label segment ("" for the legacy CC-boolean spelling,
-// whose rows keep their original unsuffixed labels).
-func jobCCMode(j Job) (cc bool, label string) {
-	if j.Mode == "" {
-		return j.CC, ""
-	}
-	m, err := ccmode.ByName(j.Mode)
+// jobMode classifies a job for ratio pairing: whether it runs protected,
+// and the canonical mode name that labels its row.
+func jobMode(j Job) (cc bool, name string) {
+	m, err := cuda.Config{Mode: j.Mode}.ResolveMode()
 	if err != nil {
-		return j.CC, j.Mode
+		return false, j.Mode
 	}
 	return m.CC(), m.Name()
 }
 
-// pairKey is the job label with the protection-mode segment removed, so all
+// pairKey is the job label without the protection-mode segment, so all
 // modes of one sweep point collide.
-func pairKey(j Job) string {
-	j.CC = false
-	j.Mode = ""
-	return strings.Replace(j.Label(), "/base", "", 1)
-}
+func pairKey(j Job) string { return j.label(false) }
 
 // msCell renders a duration in milliseconds.
 //

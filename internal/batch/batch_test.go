@@ -2,6 +2,7 @@ package batch
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,8 +12,18 @@ import (
 	"hccsim/internal/cuda"
 )
 
+// config is the Table I system under the named protection mode.
+func config(t *testing.T, mode string) cuda.Config {
+	t.Helper()
+	cfg, err := cuda.NewConfig(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestJobKey(t *testing.T) {
-	j := WorkloadJob("2mm", false, true)
+	j := WorkloadJob("2mm", false, "tdx-h100")
 	k1, err := j.Key()
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +41,10 @@ func TestJobKey(t *testing.T) {
 
 	// A different mode, spec or parameter value must change the key...
 	variants := []Job{
-		WorkloadJob("2mm", false, false),
-		WorkloadJob("2mm", true, true),
-		WorkloadJob("3mm", false, true),
-		WorkloadJob("2mm", false, true, Override{Param: "PCIeGBps", Value: 16}),
+		WorkloadJob("2mm", false, "off"),
+		WorkloadJob("2mm", true, "tdx-h100"),
+		WorkloadJob("3mm", false, "tdx-h100"),
+		WorkloadJob("2mm", false, "tdx-h100", Override{Param: "PCIeGBps", Value: 16}),
 	}
 	for _, v := range variants {
 		kv, err := v.Key()
@@ -47,8 +58,8 @@ func TestJobKey(t *testing.T) {
 
 	// ...but an override that reproduces the default config hashes the
 	// same: the key addresses what is simulated, not how it was spelled.
-	def := cuda.DefaultConfig(true)
-	same := WorkloadJob("2mm", false, true,
+	def := config(t, "tdx-h100")
+	same := WorkloadJob("2mm", false, "tdx-h100",
 		Override{Param: "PCIe.EffectiveGBps", Value: def.PCIe.EffectiveGBps})
 	ks, err := same.Key()
 	if err != nil {
@@ -60,7 +71,7 @@ func TestJobKey(t *testing.T) {
 }
 
 func TestOverrides(t *testing.T) {
-	cfg := cuda.DefaultConfig(true)
+	cfg := config(t, "tdx-h100")
 	if err := ApplyOverride(&cfg, "PCIeGBps", 16); err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +90,10 @@ func TestOverrides(t *testing.T) {
 	if cfg.Host.FenceInterval != 24 {
 		t.Fatalf("concatenated override not applied: %v", cfg.Host.FenceInterval)
 	}
-	if err := ApplyOverride(&cfg, "TEEIO", 1); err != nil {
+	if err := ApplyOverride(&cfg, "NVLink.Enabled", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.TDX.TEEIO {
+	if !cfg.NVLink.Enabled {
 		t.Fatal("bool override not applied")
 	}
 	if err := ApplyOverride(&cfg, "NoSuchParam", 1); err == nil {
@@ -99,19 +110,24 @@ func TestOverrides(t *testing.T) {
 func TestValidate(t *testing.T) {
 	bad := []Job{
 		{Kind: "nope"},
-		WorkloadJob("missing-app", false, false),
+		WorkloadJob("missing-app", false, "off"),
 		{Kind: KindCNN, Model: "vgg16"}, // no batch/precision
 		{Kind: KindLLM, Backend: "hf"},  // no quant/batch
 		{Kind: KindFigure},              // no id
 		{Kind: KindFigure, Figure: "fig8", Overrides: []Override{{Param: "PCIeGBps", Value: 1}}},
-		WorkloadJob("2mm", false, false, Override{Param: "bogus", Value: 1}),
+		WorkloadJob("2mm", false, "off", Override{Param: "bogus", Value: 1}),
+		ServeJob("vllm", "bf16", 0),
+		ServeJob("vllm", "bf16", -1),
+		ServeJob("vllm", "bf16", math.NaN()),
+		ServeJob("vllm", "bf16", math.Inf(1)),
+		{Kind: KindServe, Backend: "vllm", Quant: "bf16", RateQPS: 1, Requests: -1},
 	}
 	for _, j := range bad {
 		if err := j.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", j)
 		}
 	}
-	if err := WorkloadJob("2mm", false, true).Validate(); err != nil {
+	if err := WorkloadJob("2mm", false, "tdx-h100").Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,8 +137,8 @@ func TestValidate(t *testing.T) {
 func sweepGrid() []Job {
 	var jobs []Job
 	for _, name := range []string{"2mm", "gesummv"} {
-		for _, cc := range []bool{false, true} {
-			jobs = append(jobs, WorkloadJob(name, false, cc))
+		for _, mode := range []string{"off", "tdx-h100"} {
+			jobs = append(jobs, WorkloadJob(name, false, mode))
 		}
 	}
 	return Grid(jobs, "PCIeGBps", []float64{8, 16, 32, 64})
@@ -217,7 +233,7 @@ func TestPoolStress(t *testing.T) {
 }
 
 func TestNoCacheJobs(t *testing.T) {
-	j := WorkloadJob("2mm", false, false)
+	j := WorkloadJob("2mm", false, "off")
 	j.NoCache = true
 	cache := MemoryCache()
 	pool := &Pool{Workers: 1, Cache: cache}
@@ -237,10 +253,10 @@ func TestNoCacheJobs(t *testing.T) {
 
 func TestCNNAndLLMJobs(t *testing.T) {
 	jobs := []Job{
-		CNNJob("squeezenet", 64, "fp32", true),
-		CNNJob("squeezenet", 64, "fp32", false),
-		LLMJob("vllm", "awq", 8, true),
-		LLMJob("hf", "bf16", 8, false),
+		CNNJob("squeezenet", 64, "fp32", "tdx-h100"),
+		CNNJob("squeezenet", 64, "fp32", "off"),
+		LLMJob("vllm", "awq", 8, "tdx-h100"),
+		LLMJob("hf", "bf16", 8, "off"),
 	}
 	results := (&Pool{Workers: 2, Cache: MemoryCache()}).Run(jobs)
 	for i, r := range results {
@@ -263,7 +279,7 @@ func TestCNNAndLLMJobs(t *testing.T) {
 	}
 
 	// Unknown names surface as per-job errors, not defaults.
-	bad := (&Pool{Workers: 1}).Run([]Job{LLMJob("tensorrt", "bf16", 8, false)})
+	bad := (&Pool{Workers: 1}).Run([]Job{LLMJob("tensorrt", "bf16", 8, "off")})
 	if bad[0].Err == nil {
 		t.Fatal("unknown backend did not error")
 	}
@@ -315,7 +331,7 @@ func TestServeJobs(t *testing.T) {
 		}
 	}
 
-	expanded := GridServeRates([]Job{small(4, "off"), WorkloadJob("gemm", false, false)}, []float64{1, 2})
+	expanded := GridServeRates([]Job{small(4, "off"), WorkloadJob("gemm", false, "off")}, []float64{1, 2})
 	if len(expanded) != 3 {
 		t.Fatalf("GridServeRates expanded to %d jobs, want 3 (2 serve cells + 1 untouched workload)", len(expanded))
 	}
@@ -327,8 +343,8 @@ func TestServeJobs(t *testing.T) {
 // TestOverrideChangesOutcome makes sure a sweep axis actually reaches the
 // simulator: halving PCIe bandwidth must slow the copy-bound run down.
 func TestOverrideChangesOutcome(t *testing.T) {
-	fast := WorkloadJob("gemm", false, false, Override{Param: "PCIeGBps", Value: 52})
-	slow := WorkloadJob("gemm", false, false, Override{Param: "PCIeGBps", Value: 4})
+	fast := WorkloadJob("gemm", false, "off", Override{Param: "PCIeGBps", Value: 52})
+	slow := WorkloadJob("gemm", false, "off", Override{Param: "PCIeGBps", Value: 4})
 	results := (&Pool{Workers: 2}).Run([]Job{fast, slow})
 	for _, r := range results {
 		if r.Err != nil {
@@ -359,7 +375,7 @@ func TestAggregateTables(t *testing.T) {
 
 func TestDiskCacheCorruption(t *testing.T) {
 	dir := t.TempDir()
-	j := WorkloadJob("2mm", false, false)
+	j := WorkloadJob("2mm", false, "off")
 	key, err := j.Key()
 	if err != nil {
 		t.Fatal(err)

@@ -14,12 +14,13 @@
 package batch
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"hccsim/internal/cuda"
 	"hccsim/internal/nn"
-	"hccsim/internal/platform"
+	"hccsim/internal/serve"
 	"hccsim/internal/workloads"
 )
 
@@ -75,16 +76,8 @@ type Job struct {
 	Requests int     `json:",omitempty"` // offered request count (0 = serve default)
 	Seed     uint64  `json:",omitempty"` // workload RNG seed (0 = serve default)
 
-	// CC selects confidential-computing mode (ignored for figure jobs,
-	// which fix their own modes internally).
-	//
-	// Deprecated: CC is the boolean spelling of the protection switch; it
-	// is consulted only when Mode is empty. New jobs should set Mode.
-	CC bool
-
 	// Mode names the protection mode (ccmode.ByName) the job runs under;
-	// it takes precedence over the deprecated CC boolean. Empty keeps the
-	// legacy CC spelling.
+	// empty means off. Figure jobs fix their own modes and take none.
 	Mode string `json:",omitempty"`
 
 	// Platform names the hardware profile (platform.ByName) the job runs
@@ -96,8 +89,8 @@ type Job struct {
 	// Overrides patch named parameters of the default config, in order.
 	Overrides []Override `json:",omitempty"`
 
-	// Config, when non-nil, replaces DefaultConfig(CC) as the base
-	// configuration (Overrides still apply on top).
+	// Config, when non-nil, replaces the Platform profile as the base
+	// configuration (Mode and Overrides still apply on top).
 	Config *cuda.Config `json:",omitempty"`
 
 	// NoCache marks a job whose result must not be memoized (e.g. fig4b
@@ -105,23 +98,24 @@ type Job struct {
 	NoCache bool `json:",omitempty"`
 }
 
-// WorkloadJob builds a benchmark-application job.
-func WorkloadJob(name string, uvm, cc bool, overrides ...Override) Job {
-	return Job{Kind: KindWorkload, Workload: name, UVM: uvm, CC: cc, Overrides: overrides}
+// WorkloadJob builds a benchmark-application job under the named protection
+// mode.
+func WorkloadJob(name string, uvm bool, mode string, overrides ...Override) Job {
+	return Job{Kind: KindWorkload, Workload: name, UVM: uvm, Mode: mode, Overrides: overrides}
 }
 
 // FigureJob builds a figure-regeneration job. Prefer figures.Jobs, which
 // also marks machine-measuring figures NoCache.
 func FigureJob(id string) Job { return Job{Kind: KindFigure, Figure: id} }
 
-// CNNJob builds a Fig. 13 CNN-training job.
-func CNNJob(model string, batch int, precision string, cc bool, overrides ...Override) Job {
-	return Job{Kind: KindCNN, Model: model, Batch: batch, Precision: precision, CC: cc, Overrides: overrides}
+// CNNJob builds a Fig. 13 CNN-training job under the named protection mode.
+func CNNJob(model string, batch int, precision, mode string, overrides ...Override) Job {
+	return Job{Kind: KindCNN, Model: model, Batch: batch, Precision: precision, Mode: mode, Overrides: overrides}
 }
 
-// LLMJob builds a Fig. 14 LLM-serving job.
-func LLMJob(backend, quant string, batch int, cc bool, overrides ...Override) Job {
-	return Job{Kind: KindLLM, Backend: backend, Quant: quant, Batch: batch, CC: cc, Overrides: overrides}
+// LLMJob builds a Fig. 14 LLM-serving job under the named protection mode.
+func LLMJob(backend, quant string, batch int, mode string, overrides ...Override) Job {
+	return Job{Kind: KindLLM, Backend: backend, Quant: quant, Batch: batch, Mode: mode, Overrides: overrides}
 }
 
 // ServeJob builds a request-level serving-traffic job (internal/serve): an
@@ -133,7 +127,11 @@ func ServeJob(backend, quant string, rateQPS float64, overrides ...Override) Job
 }
 
 // Label is a short human-readable identifier for sweep tables and logs.
-func (j Job) Label() string {
+func (j Job) Label() string { return j.label(true) }
+
+// label renders the identifier, with or without the protection-mode
+// segment ("off" when Mode is empty).
+func (j Job) label(withMode bool) string {
 	var b strings.Builder
 	switch j.Kind {
 	case KindWorkload:
@@ -153,14 +151,9 @@ func (j Job) Label() string {
 		fmt.Fprintf(&b, "invalid(%s)", j.Kind)
 	}
 	if j.Kind != KindFigure {
-		switch {
-		case j.Mode != "":
+		if withMode {
 			b.WriteString("/")
-			b.WriteString(j.Mode)
-		case j.CC:
-			b.WriteString("/cc")
-		default:
-			b.WriteString("/base")
+			b.WriteString(cmp.Or(j.Mode, "off"))
 		}
 		if j.Platform != "" {
 			b.WriteString("@")
@@ -212,8 +205,11 @@ func (j Job) Validate() error {
 			return err
 		}
 	case KindServe:
-		if j.Backend == "" || j.Quant == "" || j.RateQPS <= 0 {
-			return fmt.Errorf("batch: serve job needs backend, quant and a positive rate: %+v", j)
+		if j.Backend == "" || j.Quant == "" {
+			return fmt.Errorf("batch: serve job needs backend and quant: %+v", j)
+		}
+		if err := serve.CheckRate(j.RateQPS); err != nil {
+			return fmt.Errorf("batch: serve job %s: %w", j.Label(), err)
 		}
 		if _, err := nn.BackendByName(j.Backend); err != nil {
 			return err
@@ -227,32 +223,27 @@ func (j Job) Validate() error {
 	default:
 		return fmt.Errorf("batch: unknown job kind %q", j.Kind)
 	}
-	if j.Platform != "" && j.Config != nil {
-		return fmt.Errorf("batch: job sets both Platform %q and an explicit Config; the config already carries its platform", j.Platform)
-	}
 	_, err := j.EffectiveConfig()
 	return err
 }
 
 // EffectiveConfig resolves the full system configuration the job runs under:
-// the base config (Config, the Platform profile, or DefaultConfig(CC)),
-// Mode applied on top, then Overrides in order, and finally normalized so
-// every spelling of the same protection mode and platform (alias names,
-// the legacy CC boolean, the deprecated TDX.TEEIO flag) hashes and runs
-// identically.
+// the base config (Config, else the Platform profile), Mode applied on top,
+// then Overrides in order, and finally normalized so every spelling of the
+// same protection mode and platform (alias names, the empty mode) hashes
+// and runs identically.
 func (j Job) EffectiveConfig() (cuda.Config, error) {
-	cfg := cuda.DefaultConfig(j.CC)
-	if j.Config != nil {
+	var cfg cuda.Config
+	switch {
+	case j.Config != nil && j.Platform != "":
+		return cfg, fmt.Errorf("batch: job sets both Platform %q and an explicit Config; the config already carries its platform", j.Platform)
+	case j.Config != nil:
 		cfg = *j.Config
-	}
-	if j.Platform != "" {
-		base, err := cuda.PlatformBase(j.Platform)
-		if err != nil {
+	default:
+		var err error
+		if cfg, err = cuda.PlatformConfig(j.Platform, ""); err != nil {
 			return cfg, err
 		}
-		base.CC = cfg.CC
-		base.Mode = cfg.Mode
-		cfg = base
 	}
 	if j.Mode != "" {
 		cfg.Mode = j.Mode
@@ -266,57 +257,34 @@ func (j Job) EffectiveConfig() (cuda.Config, error) {
 }
 
 // GridModes expands every job once per protection-mode name — the cc.mode
-// sweep axis of cmd/hccsweep. Setting Mode supersedes the legacy CC flag,
-// so jobs that differed only in CC (the default cc/base pair) collapse to
-// the same cache key; GridModes drops those duplicates (first occurrence
-// wins) — otherwise whether a duplicate reports Cached depends on worker
+// sweep axis of cmd/hccsweep. Jobs that collapse to the same cache key
+// (alias spellings of one mode) are dropped, first occurrence winning —
+// otherwise whether a duplicate reports Cached depends on worker
 // scheduling and sweep output stops being byte-identical across -parallel
 // levels. Jobs whose key cannot be computed are kept for Validate to
 // report.
 func GridModes(jobs []Job, modes []string) []Job {
-	out := make([]Job, 0, len(jobs)*len(modes))
-	seen := make(map[string]bool, len(jobs)*len(modes))
-	for _, j := range jobs {
-		for _, m := range modes {
-			nj := j
-			nj.Mode = m
-			if key, err := nj.Key(); err == nil {
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
-			out = append(out, nj)
-		}
-	}
-	return out
+	return expand(jobs, modes, func(j *Job, m string) { j.Mode = m })
 }
 
 // GridPlatforms expands every job once per hardware platform — the
-// hw.platform sweep axis of cmd/hccsweep. Jobs spelled with the legacy CC
-// boolean (Mode empty) get a concrete mode per platform: "off" for CC
-// false and the platform's native CC mode for CC true, because the
-// boolean's fixed tdx-h100 reading is not valid everywhere (a B300 runs
-// tee-io-bridge, not bounce-buffer TDX). Jobs that name a Mode keep it —
-// an illegal mode×platform pair then fails Validate before any job runs.
-// Like GridModes, jobs collapsing to the same cache key are dropped (first
-// occurrence wins) so sweep output stays byte-identical across -parallel
-// levels; unknown platform names are kept for Validate to report.
+// hw.platform sweep axis of cmd/hccsweep. Jobs keep their Mode, so an
+// illegal mode×platform pair fails Validate before any job runs. Like
+// GridModes, jobs collapsing to the same cache key are dropped; unknown
+// platform names are kept for Validate to report.
 func GridPlatforms(jobs []Job, platforms []string) []Job {
-	out := make([]Job, 0, len(jobs)*len(platforms))
-	seen := make(map[string]bool, len(jobs)*len(platforms))
+	return expand(jobs, platforms, func(j *Job, p string) { j.Platform = p })
+}
+
+// expand is the cross product of jobs and values under set, deduplicated
+// by cache key (first occurrence wins).
+func expand(jobs []Job, values []string, set func(*Job, string)) []Job {
+	out := make([]Job, 0, len(jobs)*len(values))
+	seen := make(map[string]bool, len(jobs)*len(values))
 	for _, j := range jobs {
-		for _, name := range platforms {
+		for _, v := range values {
 			nj := j
-			nj.Platform = name
-			if nj.Mode == "" && nj.Kind != KindFigure {
-				nj.Mode = "off"
-				if nj.CC {
-					if p, err := platform.ByName(name); err == nil {
-						nj.Mode = p.NativeMode()
-					}
-				}
-			}
+			set(&nj, v)
 			if key, err := nj.Key(); err == nil {
 				if seen[key] {
 					continue

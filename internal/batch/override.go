@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"hccsim/internal/ccmode"
 	"hccsim/internal/cuda"
 	"hccsim/internal/platform"
+	"hccsim/internal/serve"
 )
 
 // Named configuration parameters. A parameter path is "Section.Field" over
@@ -30,7 +32,6 @@ var aliases = map[string]string{
 	"Hypercall":     "TDX.Hypercall",
 	"BatchPagesCC":  "UVM.BatchPagesCC",
 	"FenceInterval": "Host.FenceInterval",
-	"TEEIO":         "TDX.TEEIO",
 }
 
 var durationType = reflect.TypeOf(time.Duration(0))
@@ -77,7 +78,7 @@ func resolve(cfg *cuda.Config, name string) (reflect.Value, string, error) {
 // or concatenated "SectionField" form — to its canonical "Section.Field"
 // path over cuda.Config. Unknown names error with the alias list attached.
 func Canonical(name string) (string, error) {
-	cfg := cuda.DefaultConfig(false)
+	var cfg cuda.Config
 	_, path, err := resolve(&cfg, name)
 	return path, err
 }
@@ -107,8 +108,7 @@ func ApplyOverride(cfg *cuda.Config, name string, value float64) error {
 // OverrideNames lists every sweepable "Section.Field" parameter path, with a
 // unit suffix for durations, sorted.
 func OverrideNames() []string {
-	cfg := cuda.DefaultConfig(false)
-	v := reflect.ValueOf(cfg)
+	v := reflect.ValueOf(cuda.Config{})
 	t := v.Type()
 	var out []string
 	for i := 0; i < t.NumField(); i++ {
@@ -193,8 +193,8 @@ func ParseAxis(s string) (Axis, error) {
 			return Axis{}, err
 		}
 		for _, v := range vals {
-			if v <= 0 {
-				return Axis{}, fmt.Errorf("batch: axis %s: rate %g is not positive", ServeRateAxis, v)
+			if err := serve.CheckRate(v); err != nil {
+				return Axis{}, fmt.Errorf("batch: axis %s: %w", ServeRateAxis, err)
 			}
 		}
 		return Axis{Param: ServeRateAxis, Values: vals}, nil
@@ -210,12 +210,14 @@ func ParseAxis(s string) (Axis, error) {
 	return Axis{Param: param, Values: vals}, nil
 }
 
+// parseAxisValues parses the comma list of a numeric axis; every value
+// must be a finite number.
 func parseAxisValues(name, list string) ([]float64, error) {
 	var vals []float64
 	for _, f := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("batch: axis %s: bad value %q", name, strings.TrimSpace(f))
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("batch: axis %s: bad value %q (want a finite number)", name, strings.TrimSpace(f))
 		}
 		vals = append(vals, v)
 	}

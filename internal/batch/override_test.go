@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hccsim/internal/cuda"
 )
 
 func TestParseAxis(t *testing.T) {
@@ -42,6 +40,13 @@ func TestParseAxisMalformed(t *testing.T) {
 		{"PCIeGBps=  ", "want Name=v1,v2"},      // blank value list
 		{"PCIeGBps=8,fast", `bad value "fast"`}, // non-numeric value
 		{"PCIeGBps=8,,16", `bad value ""`},      // empty grid cell
+		{"PCIeGBps=NaN", `bad value "NaN"`},     // non-finite values
+		{"PCIeGBps=8,+Inf", `bad value "+Inf"`},
+		{"Hypercall=-inf", `bad value "-inf"`},
+		{"serve.rate=nan", `bad value "nan"`},
+		{"serve.rate=1,inf", `bad value "inf"`},
+		{"serve.rate=0", "not finite and positive"},
+		{"serve.rate=1,-2", "not finite and positive"},
 	}
 	for _, c := range cases {
 		_, err := ParseAxis(c.spec)
@@ -118,7 +123,7 @@ func TestCanonical(t *testing.T) {
 }
 
 func TestApplyOverrideErrors(t *testing.T) {
-	cfg := cuda.DefaultConfig(true)
+	cfg := config(t, "tdx-h100")
 	err := ApplyOverride(&cfg, "NoSuchKnob", 1)
 	if err == nil || !strings.Contains(err.Error(), "unknown config parameter") {
 		t.Fatalf("want unknown-parameter error, got %v", err)
@@ -135,7 +140,7 @@ func TestApplyOverrideErrors(t *testing.T) {
 }
 
 func TestApplyOverrideKinds(t *testing.T) {
-	cfg := cuda.DefaultConfig(true)
+	cfg := config(t, "tdx-h100")
 	if err := ApplyOverride(&cfg, "PCIeGBps", 12.5); err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +159,10 @@ func TestApplyOverrideKinds(t *testing.T) {
 	if cfg.TDX.CryptoWorkers != 4 {
 		t.Errorf("int override: got %v", cfg.TDX.CryptoWorkers)
 	}
-	if err := ApplyOverride(&cfg, "TEEIO", 1); err != nil {
+	if err := ApplyOverride(&cfg, "NVLink.Enabled", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.TDX.TEEIO {
-		t.Error("bool override: TEEIO not set")
+	if !cfg.NVLink.Enabled {
+		t.Error("bool override: NVLink.Enabled not set")
 	}
 }

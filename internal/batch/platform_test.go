@@ -3,15 +3,13 @@ package batch
 import (
 	"strings"
 	"testing"
-
-	"hccsim/internal/cuda"
 )
 
 // TestPlatformKeyIdentity: the empty platform and its canonical name mean
 // the same system, so they must share a cache key — otherwise every cached
 // result splits in two when a sweep starts naming platforms.
 func TestPlatformKeyIdentity(t *testing.T) {
-	a := WorkloadJob("gemm", false, true)
+	a := WorkloadJob("gemm", false, "tdx-h100")
 	b := a
 	b.Platform = "h100-tdx"
 	ka, err := a.Key()
@@ -30,8 +28,7 @@ func TestPlatformKeyIdentity(t *testing.T) {
 	c.Platform = "b300"
 	d := a
 	d.Platform = "b300-bridge"
-	// Legacy CC on a non-TDX platform has no meaning until a mode is
-	// assigned; give both the platform's mode.
+	// tdx-h100 is illegal on a B300; give both the platform's mode.
 	c.Mode, d.Mode = "tee-io-bridge", "tee-io-bridge"
 	kc, err := c.Key()
 	if err != nil {
@@ -49,42 +46,11 @@ func TestPlatformKeyIdentity(t *testing.T) {
 	}
 }
 
-// TestGridPlatformsLegacyCCMapping: the deprecated CC boolean reads as
-// "this platform's native protection", not tdx-h100 everywhere — tdx-h100
-// is illegal on a B300.
-func TestGridPlatformsLegacyCCMapping(t *testing.T) {
-	jobs := []Job{WorkloadJob("gemm", false, true), WorkloadJob("gemm", false, false)}
-	out := GridPlatforms(jobs, []string{"h100-tdx", "b300-bridge"})
-	if len(out) != 4 {
-		t.Fatalf("got %d jobs, want 4", len(out))
-	}
-	wantModes := map[string]string{
-		"h100-tdx/cc":      "tdx-h100",
-		"b300-bridge/cc":   "tee-io-bridge",
-		"h100-tdx/base":    "off",
-		"b300-bridge/base": "off",
-	}
-	for i, j := range out {
-		kind := "base"
-		if i < 2 {
-			kind = "cc"
-		}
-		want := wantModes[j.Platform+"/"+kind]
-		if j.Mode != want {
-			t.Errorf("job %d on %s: mode %q, want %q", i, j.Platform, j.Mode, want)
-		}
-		if err := j.Validate(); err != nil {
-			t.Errorf("job %d fails validation: %v", i, err)
-		}
-	}
-}
-
 // TestGridPlatformsKeepsExplicitMode: a job that names its mode keeps it on
 // every platform; the illegal pair then fails Validate up front rather than
 // mid-sweep.
 func TestGridPlatformsKeepsExplicitMode(t *testing.T) {
-	j := WorkloadJob("gemm", false, false)
-	j.Mode = "tdx-h100"
+	j := WorkloadJob("gemm", false, "tdx-h100")
 	out := GridPlatforms([]Job{j}, []string{"h100-tdx", "b300-bridge"})
 	if len(out) != 2 {
 		t.Fatalf("got %d jobs, want 2", len(out))
@@ -108,7 +74,7 @@ func TestGridPlatformsKeepsExplicitMode(t *testing.T) {
 // collapse to one job (first occurrence wins), keeping sweep output
 // byte-identical at any parallelism.
 func TestGridPlatformsDedup(t *testing.T) {
-	jobs := []Job{WorkloadJob("gemm", false, false)}
+	jobs := []Job{WorkloadJob("gemm", false, "off")}
 	out := GridPlatforms(jobs, []string{"h100-tdx", "default", "table1"})
 	if len(out) != 1 {
 		t.Fatalf("got %d jobs, want 1 after dedup", len(out))
@@ -116,8 +82,7 @@ func TestGridPlatformsDedup(t *testing.T) {
 }
 
 func TestLabelWithPlatform(t *testing.T) {
-	j := WorkloadJob("gemm", false, false)
-	j.Mode = "tee-io-bridge"
+	j := WorkloadJob("gemm", false, "tee-io-bridge")
 	j.Platform = "b300-bridge"
 	if got := j.Label(); got != "gemm/tee-io-bridge@b300-bridge" {
 		t.Errorf("Label() = %q", got)
@@ -125,6 +90,10 @@ func TestLabelWithPlatform(t *testing.T) {
 	j.Platform = ""
 	if got := j.Label(); got != "gemm/tee-io-bridge" {
 		t.Errorf("Label() without platform = %q", got)
+	}
+	j.Mode = ""
+	if got := j.Label(); got != "gemm/off" {
+		t.Errorf("Label() with the empty mode = %q, want gemm/off", got)
 	}
 }
 
@@ -150,14 +119,14 @@ func TestParsePlatformAxis(t *testing.T) {
 }
 
 func TestValidatePlatformRules(t *testing.T) {
-	j := WorkloadJob("gemm", false, false)
+	j := WorkloadJob("gemm", false, "off")
 	j.Platform = "nonesuch"
 	if err := j.Validate(); err == nil {
 		t.Error("unknown platform passed validation")
 	}
 
-	cfg := cuda.DefaultConfig(false)
-	j = WorkloadJob("gemm", false, false)
+	cfg := config(t, "off")
+	j = WorkloadJob("gemm", false, "off")
 	j.Platform = "b300-bridge"
 	j.Config = &cfg
 	err := j.Validate()
@@ -178,17 +147,16 @@ func TestValidatePlatformRules(t *testing.T) {
 // TestPlatformEffectiveConfigSeedsProfile: the platform profile seeds the
 // base params, mode and overrides apply on top.
 func TestPlatformEffectiveConfigSeedsProfile(t *testing.T) {
-	j := WorkloadJob("gemm", false, false, Override{Param: "PCIe.EffectiveGBps", Value: 10})
+	j := WorkloadJob("gemm", false, "tee-io-bridge", Override{Param: "PCIe.EffectiveGBps", Value: 10})
 	j.Platform = "b300-bridge"
-	j.Mode = "tee-io-bridge"
 	cfg, err := j.EffectiveConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Platform != "b300-bridge" || cfg.Mode != "tee-io-bridge" || !cfg.CC {
-		t.Errorf("resolved platform %q mode %q cc %v", cfg.Platform, cfg.Mode, cfg.CC)
+	if cfg.Platform != "b300-bridge" || cfg.Mode != "tee-io-bridge" {
+		t.Errorf("resolved platform %q mode %q", cfg.Platform, cfg.Mode)
 	}
-	if cfg.GPU.SMs == cuda.DefaultConfig(false).GPU.SMs {
+	if cfg.GPU.SMs == config(t, "off").GPU.SMs {
 		t.Error("profile params not seeded (SMs match the default platform)")
 	}
 	if cfg.PCIe.EffectiveGBps != 10 {

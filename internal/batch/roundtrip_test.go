@@ -17,7 +17,7 @@ import (
 // config through JSON, and compares field-for-field; a field that comes
 // back zero or changed is exactly a field the cache key would lose.
 func TestConfigJSONRoundTrip(t *testing.T) {
-	cfg := cuda.DefaultConfig(true)
+	cfg := config(t, "tdx-h100")
 	counter := 1
 	perturb(t, reflect.ValueOf(&cfg).Elem(), "Config", &counter)
 	// Mode and Platform must be resolvable names — Key normalizes the config
@@ -38,7 +38,8 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 
 	// The perturbed config must also hash differently from the defaults —
 	// the whole point of folding it into the key.
-	base := WorkloadJob("2mm", false, true)
+	// The job names no mode, so the perturbed config's own mode applies.
+	base := WorkloadJob("2mm", false, "")
 	perturbed := base
 	perturbed.Config = &cfg
 	k1, err := base.Key()

@@ -2,7 +2,7 @@
 //
 // The paper measures exactly one platform — Intel TDX with an H100 behind a
 // bounce buffer and single-threaded software AES-GCM — and the simulator
-// originally hard-wired that platform behind a single Config.CC boolean.
+// originally hard-wired that platform behind a single on/off switch.
 // Related work shows protection modes are a family, not a flag: Blackwell
 // GPU-CC ("The Serialized Bridge") preserves GPU-local performance while the
 // CPU–GPU bridge serializes, and PipeLLM recovers most of the transfer cost
@@ -307,18 +307,4 @@ func Names() []string {
 		out[i] = m.Name()
 	}
 	return out
-}
-
-// Legacy resolves the deprecated Config.CC boolean (plus the deprecated
-// TDX.TEEIO projection flag) to the mode those flags always meant. This is
-// the one sanctioned compatibility shim: new call sites should name modes.
-func Legacy(cc, teeio bool) Mode {
-	switch {
-	case !cc:
-		return Off{}
-	case teeio:
-		return TEEIODirect{}
-	default:
-		return TDXH100{}
-	}
 }

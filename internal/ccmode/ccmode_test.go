@@ -35,23 +35,6 @@ func TestByNameAliases(t *testing.T) {
 	}
 }
 
-// TestLegacy checks the deprecated (CC, TEEIO) boolean pair resolves to the
-// modes the pre-refactor code paths implemented.
-func TestLegacy(t *testing.T) {
-	if got := Legacy(false, false).Name(); got != "off" {
-		t.Errorf("Legacy(false,false) = %s", got)
-	}
-	if got := Legacy(false, true).Name(); got != "off" {
-		t.Errorf("Legacy(false,true) = %s (TEEIO without CC is off)", got)
-	}
-	if got := Legacy(true, false).Name(); got != "tdx-h100" {
-		t.Errorf("Legacy(true,false) = %s", got)
-	}
-	if got := Legacy(true, true).Name(); got != "tee-io-direct" {
-		t.Errorf("Legacy(true,true) = %s", got)
-	}
-}
-
 // TestPredicates pins the policy truth table each backend implements.
 func TestPredicates(t *testing.T) {
 	type row struct {

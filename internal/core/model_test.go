@@ -129,9 +129,13 @@ func TestBreakdownSumsToOne(t *testing.T) {
 // Integration: decompose a real simulated run and require the model
 // identity Predict() == Total to hold.
 func TestDecomposeRealRun(t *testing.T) {
-	for _, cc := range []bool{false, true} {
+	for _, mode := range []string{"off", "tdx-h100"} {
+		cfg, err := cuda.NewConfig(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, cfg)
 		eng.Spawn("host", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			h := c.HostBuffer("h", 64<<20)
@@ -147,11 +151,11 @@ func TestDecomposeRealRun(t *testing.T) {
 		eng.Run()
 		m := Decompose(rt.Tracer())
 		if m.Total <= 0 || m.Kernels != 20 {
-			t.Fatalf("cc=%v: bad model %+v", cc, m)
+			t.Fatalf("%s: bad model %+v", mode, m)
 		}
 		diff := math.Abs(float64(m.Predict()-m.Total)) / float64(m.Total)
 		if diff > 0.01 {
-			t.Fatalf("cc=%v: predict %v vs total %v (%.2f%% off)", cc, m.Predict(), m.Total, 100*diff)
+			t.Fatalf("%s: predict %v vs total %v (%.2f%% off)", mode, m.Predict(), m.Total, 100*diff)
 		}
 	}
 }

@@ -11,15 +11,25 @@ import (
 
 // run executes body as a host program on a fresh system and returns the
 // runtime for trace inspection.
-func run(t *testing.T, cc bool, body func(c *Context)) *Runtime {
+func run(t *testing.T, mode string, body func(c *Context)) *Runtime {
 	t.Helper()
 	eng := sim.NewEngine()
-	rt := New(eng, DefaultConfig(cc))
+	rt := New(eng, config(t, mode))
 	eng.Spawn("host", func(p *sim.Proc) {
 		body(rt.Bind(p))
 	})
 	eng.Run()
 	return rt
+}
+
+// config is the Table I system under the named protection mode.
+func config(t *testing.T, mode string) Config {
+	t.Helper()
+	cfg, err := NewConfig(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // durOf sums durations of events with the given API name.
@@ -43,8 +53,8 @@ func TestMallocFreeRatios(t *testing.T) {
 		c.FreeHost(h)
 		c.Free(m)
 	}
-	base := run(t, false, body)
-	cc := run(t, true, body)
+	base := run(t, "off", body)
+	cc := run(t, "tdx-h100", body)
 
 	check := func(api string, lo, hi float64) {
 		t.Helper()
@@ -61,7 +71,7 @@ func TestMallocFreeRatios(t *testing.T) {
 
 func TestManagedAllocCheaperThanMalloc(t *testing.T) {
 	// Paper: non-CC UVM allocation is 0.51x of cudaMalloc.
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		c.Malloc("d", 512<<20)
 		c.MallocManaged("m", 512<<20)
 	})
@@ -80,8 +90,8 @@ func TestMemcpySyncRecordsAndCCSlower(t *testing.T) {
 		c.Memcpy(h, d, n)
 		c.Free(d)
 	}
-	base := run(t, false, body)
-	cc := run(t, true, body)
+	base := run(t, "off", body)
+	cc := run(t, "tdx-h100", body)
 
 	mb := base.Metrics()
 	mc := cc.Metrics()
@@ -96,7 +106,7 @@ func TestMemcpySyncRecordsAndCCSlower(t *testing.T) {
 
 func TestCCPinnedCopyBecomesManagedD2D(t *testing.T) {
 	const n = 16 << 20
-	cc := run(t, true, func(c *Context) {
+	cc := run(t, "tdx-h100", func(c *Context) {
 		h := c.MallocHost("h", n)
 		d := c.Malloc("d", n)
 		c.Memcpy(d, h, n)
@@ -105,7 +115,7 @@ func TestCCPinnedCopyBecomesManagedD2D(t *testing.T) {
 	if len(d2d) != 1 || !d2d[0].Managed {
 		t.Fatalf("CC pinned copy not labelled managed D2D: %+v", d2d)
 	}
-	base := run(t, false, func(c *Context) {
+	base := run(t, "off", func(c *Context) {
 		h := c.MallocHost("h", n)
 		d := c.Malloc("d", n)
 		c.Memcpy(d, h, n)
@@ -116,7 +126,7 @@ func TestCCPinnedCopyBecomesManagedD2D(t *testing.T) {
 }
 
 func TestMemcpyValidation(t *testing.T) {
-	run(t, false, func(c *Context) {
+	run(t, "off", func(c *Context) {
 		h := c.HostBuffer("h", 100)
 		d := c.Malloc("d", 100)
 		h2 := c.HostBuffer("h2", 100)
@@ -141,7 +151,7 @@ func expectPanic(t *testing.T, what string, f func()) {
 }
 
 func TestLaunchRecordsKLOAndKernel(t *testing.T) {
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		c.Launch(gpu.KernelSpec{Name: "k", Fixed: time.Millisecond}, nil)
 		c.Sync()
 	})
@@ -159,7 +169,7 @@ func TestLaunchRecordsKLOAndKernel(t *testing.T) {
 }
 
 func TestFirstLaunchSpike(t *testing.T) {
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		for i := 0; i < 10; i++ {
 			c.Launch(gpu.KernelSpec{Name: "k0", Fixed: 10 * time.Microsecond}, nil)
 		}
@@ -182,8 +192,8 @@ func TestFirstLaunchSpike(t *testing.T) {
 }
 
 func TestSteadyStateKLORatioMatchesPaper(t *testing.T) {
-	steadyKLO := func(cc bool) time.Duration {
-		rt := run(t, cc, func(c *Context) {
+	steadyKLO := func(mode string) time.Duration {
+		rt := run(t, mode, func(c *Context) {
 			for i := 0; i < 200; i++ {
 				c.Launch(gpu.KernelSpec{Name: "k", Fixed: 5 * time.Microsecond}, nil)
 			}
@@ -196,8 +206,8 @@ func TestSteadyStateKLORatioMatchesPaper(t *testing.T) {
 		}
 		return sum / time.Duration(len(ls)-1)
 	}
-	base := steadyKLO(false)
-	cc := steadyKLO(true)
+	base := steadyKLO("off")
+	cc := steadyKLO("tdx-h100")
 	ratio := float64(cc) / float64(base)
 	// Steady-state launches (no module uploads) see a mild CC tax from the
 	// packet encryption and amortized fence hypercalls; the suite-level
@@ -209,7 +219,7 @@ func TestSteadyStateKLORatioMatchesPaper(t *testing.T) {
 }
 
 func TestRingThrottleCreatesLQT(t *testing.T) {
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		for i := 0; i < 200; i++ {
 			c.Launch(gpu.KernelSpec{Name: "k", Fixed: 200 * time.Microsecond}, nil)
 		}
@@ -223,16 +233,16 @@ func TestRingThrottleCreatesLQT(t *testing.T) {
 }
 
 func TestKQTAmplifiedUnderCC(t *testing.T) {
-	kqt := func(cc bool) time.Duration {
-		rt := run(t, cc, func(c *Context) {
+	kqt := func(mode string) time.Duration {
+		rt := run(t, mode, func(c *Context) {
 			c.Launch(gpu.KernelSpec{Name: "k", Fixed: time.Millisecond}, nil)
 			c.Launch(gpu.KernelSpec{Name: "k", Fixed: time.Millisecond}, nil)
 			c.Sync()
 		})
 		return rt.Metrics().KQT
 	}
-	base := kqt(false)
-	cc := kqt(true)
+	base := kqt("off")
+	cc := kqt("tdx-h100")
 	if cc <= base {
 		t.Fatalf("KQT not amplified: base %v, cc %v", base, cc)
 	}
@@ -242,7 +252,7 @@ func TestAsyncOverlapAcrossStreams(t *testing.T) {
 	const n = 512 << 20
 	elapsed := func(overlap bool) time.Duration {
 		var end time.Duration
-		run(t, false, func(c *Context) {
+		run(t, "off", func(c *Context) {
 			h := c.MallocHost("h", n)
 			d := c.Malloc("d", n)
 			start := c.Proc().Now()
@@ -273,7 +283,7 @@ func TestGraphLaunchReducesLaunchCount(t *testing.T) {
 	for i := range specs {
 		specs[i] = gpu.KernelSpec{Name: "gk", Fixed: 20 * time.Microsecond}
 	}
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		g := c.GraphCreate(specs)
 		g.Launch(nil)
 		c.Sync()
@@ -293,7 +303,7 @@ func TestGraphFasterThanLoopForManyShortKernels(t *testing.T) {
 	}
 	elapsed := func(graph bool) time.Duration {
 		var end time.Duration
-		run(t, true, func(c *Context) {
+		run(t, "tdx-h100", func(c *Context) {
 			// Warm the module and context outside the measured region.
 			c.Launch(gpu.KernelSpec{Name: "gk", Fixed: time.Microsecond}, nil)
 			c.Sync()
@@ -319,9 +329,9 @@ func TestGraphFasterThanLoopForManyShortKernels(t *testing.T) {
 }
 
 func TestUVMKernelEndToEnd(t *testing.T) {
-	elapsed := func(cc bool) time.Duration {
+	elapsed := func(mode string) time.Duration {
 		var end time.Duration
-		run(t, cc, func(c *Context) {
+		run(t, mode, func(c *Context) {
 			m := c.MallocManaged("m", 32<<20)
 			spec := gpu.KernelSpec{Name: "uvmk", Fixed: 100 * time.Microsecond,
 				Managed: []gpu.ManagedAccess{{Range: m.Managed(), Bytes: 32 << 20}}}
@@ -334,16 +344,16 @@ func TestUVMKernelEndToEnd(t *testing.T) {
 		})
 		return end
 	}
-	base := elapsed(false)
-	cc := elapsed(true)
+	base := elapsed("off")
+	cc := elapsed("tdx-h100")
 	if ratio := float64(cc) / float64(base); ratio < 3 {
 		t.Fatalf("UVM end-to-end CC ratio %.2f too small (%v vs %v)", ratio, cc, base)
 	}
 }
 
 func TestCallStackShapes(t *testing.T) {
-	base := run(t, false, func(c *Context) {})
-	cc := run(t, true, func(c *Context) {})
+	base := run(t, "off", func(c *Context) {})
+	cc := run(t, "tdx-h100", func(c *Context) {})
 	fb := base.LaunchCallStack()
 	fc := cc.LaunchCallStack()
 	if len(fc) <= len(fb) {
@@ -361,7 +371,7 @@ func TestCallStackShapes(t *testing.T) {
 }
 
 func TestFreeValidation(t *testing.T) {
-	run(t, false, func(c *Context) {
+	run(t, "off", func(c *Context) {
 		h := c.MallocHost("h", 100)
 		expectPanic(t, "Free on pinned", func() { c.Free(h) })
 		c.FreeHost(h)
@@ -374,7 +384,7 @@ func TestFreeValidation(t *testing.T) {
 }
 
 func TestStreamSynchronize(t *testing.T) {
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		s := c.StreamCreate()
 		c.Launch(gpu.KernelSpec{Name: "k", Fixed: 7 * time.Millisecond}, s)
 		s.Synchronize()
@@ -388,7 +398,7 @@ func TestStreamSynchronize(t *testing.T) {
 }
 
 func TestHBMAccountingThroughAPI(t *testing.T) {
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		b := c.Malloc("d", 1<<30)
 		if rt := c.Runtime(); rt.Device().Mem().Used() < 1<<30 {
 			t.Errorf("HBM used = %d after 1GiB alloc", rt.Device().Mem().Used())
@@ -401,7 +411,7 @@ func TestHBMAccountingThroughAPI(t *testing.T) {
 }
 
 func TestEventsTimeKernels(t *testing.T) {
-	run(t, false, func(c *Context) {
+	run(t, "off", func(c *Context) {
 		start := c.EventCreate()
 		stop := c.EventCreate()
 		start.Record(nil)
@@ -420,7 +430,7 @@ func TestEventsTimeKernels(t *testing.T) {
 }
 
 func TestEventMisuse(t *testing.T) {
-	run(t, false, func(c *Context) {
+	run(t, "off", func(c *Context) {
 		e := c.EventCreate()
 		expectPanic(t, "unrecorded synchronize", func() { e.Synchronize() })
 		if e.Completed() {
@@ -434,12 +444,12 @@ func TestEventMisuse(t *testing.T) {
 }
 
 func TestMemsetOnDeviceAndValidation(t *testing.T) {
-	base := run(t, false, func(c *Context) {
+	base := run(t, "off", func(c *Context) {
 		d := c.Malloc("d", 1<<30)
 		c.Memset(d, 1<<30)
 		c.Free(d)
 	})
-	cc := run(t, true, func(c *Context) {
+	cc := run(t, "tdx-h100", func(c *Context) {
 		d := c.Malloc("d", 1<<30)
 		c.Memset(d, 1<<30)
 		c.Free(d)
@@ -462,7 +472,7 @@ func TestMemsetOnDeviceAndValidation(t *testing.T) {
 	if diff := fc - fb; diff > 15*time.Microsecond {
 		t.Fatalf("CC memset overhead %v too large for an on-device fill", diff)
 	}
-	run(t, false, func(c *Context) {
+	run(t, "off", func(c *Context) {
 		h := c.HostBuffer("h", 100)
 		expectPanic(t, "memset host buffer", func() { c.Memset(h, 100) })
 		d := c.Malloc("d", 100)
@@ -472,9 +482,9 @@ func TestMemsetOnDeviceAndValidation(t *testing.T) {
 
 func TestMultiGPUPeerTransfer(t *testing.T) {
 	const n = 256 << 20
-	elapsed := func(cc, nvlink bool) time.Duration {
+	elapsed := func(mode string, nvlink bool) time.Duration {
 		eng := sim.NewEngine()
-		cfg := DefaultConfig(cc)
+		cfg := config(t, mode)
 		rt := New(eng, cfg)
 		rt.AddDevice(cfg.PCIe, cfg.HBM, cfg.GPU)
 		if nvlink {
@@ -495,10 +505,10 @@ func TestMultiGPUPeerTransfer(t *testing.T) {
 		return total
 	}
 
-	baseStaged := elapsed(false, false)
-	ccStaged := elapsed(true, false)
-	baseNV := elapsed(false, true)
-	ccNV := elapsed(true, true)
+	baseStaged := elapsed("off", false)
+	ccStaged := elapsed("tdx-h100", false)
+	baseNV := elapsed("off", true)
+	ccNV := elapsed("tdx-h100", true)
 
 	// Host-staged peer copies pay double crypto under CC.
 	if ratio := float64(ccStaged) / float64(baseStaged); ratio < 5 {
@@ -516,8 +526,9 @@ func TestMultiGPUPeerTransfer(t *testing.T) {
 
 func TestMultiGPUValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, DefaultConfig(false))
-	rt.AddDevice(DefaultConfig(false).PCIe, DefaultConfig(false).HBM, DefaultConfig(false).GPU)
+	cfg := config(t, "off")
+	rt := New(eng, cfg)
+	rt.AddDevice(cfg.PCIe, cfg.HBM, cfg.GPU)
 	if rt.Devices() != 2 {
 		t.Fatalf("Devices() = %d", rt.Devices())
 	}
@@ -537,8 +548,9 @@ func TestMultiGPUValidation(t *testing.T) {
 
 func TestMultiGPUFreeReleasesRightDevice(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, DefaultConfig(false))
-	rt.AddDevice(DefaultConfig(false).PCIe, DefaultConfig(false).HBM, DefaultConfig(false).GPU)
+	cfg := config(t, "off")
+	rt := New(eng, cfg)
+	rt.AddDevice(cfg.PCIe, cfg.HBM, cfg.GPU)
 	eng.Spawn("host", func(p *sim.Proc) {
 		c := rt.Bind(p)
 		b := c.MallocOn(1, "b", 1<<20)
@@ -555,7 +567,7 @@ func TestMultiGPUFreeReleasesRightDevice(t *testing.T) {
 }
 
 func TestStreamWaitEventOrdersAcrossStreams(t *testing.T) {
-	rt := run(t, false, func(c *Context) {
+	rt := run(t, "off", func(c *Context) {
 		producer := c.StreamCreate()
 		consumer := c.StreamCreate()
 		ready := c.EventCreate()
@@ -581,7 +593,7 @@ func TestStreamWaitEventOrdersAcrossStreams(t *testing.T) {
 }
 
 func TestWaitEventUnrecordedPanics(t *testing.T) {
-	run(t, false, func(c *Context) {
+	run(t, "off", func(c *Context) {
 		s := c.StreamCreate()
 		e := c.EventCreate()
 		expectPanic(t, "unrecorded wait", func() { s.WaitEvent(e) })

@@ -30,22 +30,25 @@ func TestExplicitDefaultPlatformByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigMatchesProfile pins the legacy boolean constructor to the
-// default profile's data.
-func TestDefaultConfigMatchesProfile(t *testing.T) {
-	for _, cc := range []bool{false, true} {
-		cfg := DefaultConfig(cc)
-		if cfg.CC != cc {
-			t.Errorf("DefaultConfig(%v).CC = %v", cc, cfg.CC)
+// TestNewConfigMatchesProfile pins the Table I constructor to the default
+// profile's data, and the empty mode name to off.
+func TestNewConfigMatchesProfile(t *testing.T) {
+	for _, mode := range []string{"off", "tdx-h100"} {
+		cfg, err := NewConfig(mode)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cfg.Platform != platform.Default {
-			t.Errorf("DefaultConfig(%v).Platform = %q, want %q", cc, cfg.Platform, platform.Default)
+		if cfg.Platform != platform.Default || cfg.Mode != mode {
+			t.Errorf("NewConfig(%s) = platform %q mode %q", mode, cfg.Platform, cfg.Mode)
 		}
 		p := platform.MustByName(platform.Default)
 		if cfg.TDX != p.TDX || cfg.PCIe != p.PCIe || cfg.HBM != p.HBM ||
 			cfg.UVM != p.UVM || cfg.GPU != p.GPU || cfg.Host != p.Host || cfg.NVLink != p.NVLink {
-			t.Errorf("DefaultConfig(%v) params differ from the %s profile", cc, platform.Default)
+			t.Errorf("NewConfig(%s) params differ from the %s profile", mode, platform.Default)
 		}
+	}
+	if m, err := (Config{}).ResolveMode(); err != nil || m.Name() != "off" {
+		t.Errorf("empty Mode resolves to %v, %v; want off", m, err)
 	}
 }
 
@@ -66,24 +69,27 @@ func TestPlatformConfigRejectsIllegalPair(t *testing.T) {
 }
 
 func TestNormalizeCanonicalizesPlatform(t *testing.T) {
-	cfg := DefaultConfig(false)
+	cfg, err := NewConfig("off")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Platform = "" // spell the default implicitly
 	cfg.Mode = "TDX-H100"
 	n, err := cfg.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Platform != platform.Default || n.Mode != "tdx-h100" || !n.CC {
-		t.Errorf("Normalize() = platform %q mode %q cc %v", n.Platform, n.Mode, n.CC)
+	if n.Platform != platform.Default || n.Mode != "tdx-h100" {
+		t.Errorf("Normalize() = platform %q mode %q", n.Platform, n.Mode)
 	}
 
 	// Aliased spellings normalize to the same canonical config.
-	a, err := PlatformBase("b300")
+	a, err := PlatformConfig("b300", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Platform != "b300-bridge" {
-		t.Errorf("PlatformBase(b300).Platform = %q", a.Platform)
+	if a.Platform != "b300-bridge" || a.Mode != "off" {
+		t.Errorf("PlatformConfig(b300, \"\") = platform %q mode %q", a.Platform, a.Mode)
 	}
 
 	// Normalize rejects an illegal pair even when both names are valid.

@@ -47,9 +47,9 @@ type Runtime struct {
 }
 
 // New builds a full system (platform, link, HBM, UVM, device) from cfg.
-// The protection mode is resolved here — Config.Mode by name, or the
-// deprecated CC flag through the legacy shim — validated against the
-// hardware platform's mode set, and threaded into every layer. It panics
+// The protection mode is resolved here — Config.Mode by name, empty meaning
+// off — validated against the hardware platform's mode set, and threaded
+// into every layer. It panics
 // on an unknown Config.Mode or Config.Platform name or an illegal
 // mode×platform pair, the same fatal-config contract as the substrate
 // constructors below it.

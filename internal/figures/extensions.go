@@ -21,17 +21,6 @@ import (
 // the CC-mode cudaGraph batching question Sec. VII-A explicitly leaves as
 // future work.
 
-// teeioConfig returns a CC config with the TDX Connect projection enabled,
-// panicking on lookup failure — the mode name is a static literal, so a
-// failure is a programming error, not an input error.
-func teeioConfig() cuda.Config {
-	cfg, err := cuda.NewConfig("tee-io-direct")
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
 // snpConfig returns a CC config on the SEV-SNP cost model (the h100-snp
 // platform profile: same GPU and link, GHCB-based CPU TEE), panicking on
 // lookup failure — the platform and mode names are static literals, so a
@@ -70,14 +59,14 @@ func ExtTEEIO() Table {
 		eng.Run()
 		return units.RateGBps(1<<30, dur)
 	}
-	t.AddRow("pinned H2D GB/s",
-		bw(cuda.DefaultConfig(false)), bw(cuda.DefaultConfig(true)), bw(snpConfig()), bw(teeioConfig()))
+	configs := []cuda.Config{modeConfig("off"), modeConfig("tdx-h100"), snpConfig(), modeConfig("tee-io-direct")}
+	t.AddRow("pinned H2D GB/s", bw(configs[0]), bw(configs[1]), bw(configs[2]), bw(configs[3]))
 
 	// End-to-end time of two representative apps.
 	for _, name := range []string{"3dconv", "srad"} {
 		spec := mustWorkload(name)
 		row := []interface{}{name + " end-to-end (ms)"}
-		for _, cfg := range []cuda.Config{cuda.DefaultConfig(false), cuda.DefaultConfig(true), snpConfig(), teeioConfig()} {
+		for _, cfg := range configs {
 			res := workloads.Execute(spec, workloads.CopyExecute, cfg)
 			row = append(row, ms(time.Duration(res.End)))
 		}
@@ -86,7 +75,7 @@ func ExtTEEIO() Table {
 	// A UVM app, where TEE-IO restores fault batching too.
 	spec := mustWorkload("2dconv")
 	row := []interface{}{"2dconv UVM end-to-end (ms)"}
-	for _, cfg := range []cuda.Config{cuda.DefaultConfig(false), cuda.DefaultConfig(true), snpConfig(), teeioConfig()} {
+	for _, cfg := range configs {
 		res := workloads.Execute(spec, workloads.UVM, cfg)
 		row = append(row, ms(time.Duration(res.End)))
 	}
@@ -108,7 +97,7 @@ func ExtCryptoWorkers() Table {
 	}
 	var firstBW float64
 	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := cuda.DefaultConfig(true)
+		cfg := modeConfig("tdx-h100")
 		cfg.TDX.CryptoWorkers = workers
 
 		// Bandwidth: many in-flight chunks over streams so workers can
@@ -157,9 +146,9 @@ func ExtGraphBatch() Table {
 		Columns: []string{"batch", "base-total-ms", "cc-total-ms", "cc/base"},
 	}
 	const iters = 1024
-	run := func(cc bool, batch int) time.Duration {
+	run := func(mode string, batch int) time.Duration {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, modeConfig(mode))
 		var total time.Duration
 		eng.Spawn("gb", func(p *sim.Proc) {
 			c := rt.Bind(p)
@@ -190,8 +179,8 @@ func ExtGraphBatch() Table {
 	bestBase, bestCC := 0, 0
 	bestBaseT, bestCCT := time.Duration(1<<62), time.Duration(1<<62)
 	for _, batch := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
-		bt := run(false, batch)
-		ct := run(true, batch)
+		bt := run("off", batch)
+		ct := run("tdx-h100", batch)
 		t.AddRow(batch, ms(bt), ms(ct), float64(ct)/float64(bt))
 		if bt < bestBaseT {
 			bestBaseT, bestBase = bt, batch
@@ -216,9 +205,9 @@ func ExtPrefetch() Table {
 		Columns: []string{"mode", "strategy", "kernel-KET-ms", "end-to-end-ms"},
 	}
 	const footprint = 128 << 20
-	run := func(cc, prefetch bool) (ket, total time.Duration) {
+	run := func(mode string, prefetch bool) (ket, total time.Duration) {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, modeConfig(mode))
 		eng.Spawn("pf", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			m := c.MallocManaged("m", footprint)
@@ -236,18 +225,14 @@ func ExtPrefetch() Table {
 		ket = rt.Metrics().KET
 		return
 	}
-	for _, cc := range []bool{false, true} {
-		mode := "base"
-		if cc {
-			mode = "cc"
-		}
+	for _, m := range paperModes {
 		for _, prefetch := range []bool{false, true} {
 			strategy := "fault-driven"
 			if prefetch {
 				strategy = "prefetch"
 			}
-			ket, total := run(cc, prefetch)
-			t.AddRow(mode, strategy, ms(ket), ms(total))
+			ket, total := run(m.name, prefetch)
+			t.AddRow(m.label, strategy, ms(ket), ms(total))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -289,9 +274,9 @@ func ExtMultiGPU() Table {
 		Columns: []string{"path", "base-ms", "cc-ms", "cc/base", "base-GB/s", "cc-GB/s"},
 	}
 	const n = int64(1) << 30
-	run := func(cc, nvlink bool) time.Duration {
+	run := func(mode string, nvlink bool) time.Duration {
 		eng := sim.NewEngine()
-		cfg := cuda.DefaultConfig(cc)
+		cfg := modeConfig(mode)
 		rt := cuda.New(eng, cfg)
 		rt.AddDevice(cfg.PCIe, cfg.HBM, cfg.GPU)
 		if nvlink {
@@ -313,8 +298,8 @@ func ExtMultiGPU() Table {
 		name   string
 		nvlink bool
 	}{{"host-staged (PCIe)", false}, {"nvlink bridge", true}} {
-		base := run(false, path.nvlink)
-		cc := run(true, path.nvlink)
+		base := run("off", path.nvlink)
+		cc := run("tdx-h100", path.nvlink)
 		t.AddRow(path.name, ms(base), ms(cc), float64(cc)/float64(base),
 			units.RateGBps(n, base), units.RateGBps(n, cc))
 	}
@@ -338,7 +323,7 @@ func ExtCNNBatchSweep() Table {
 		row := []interface{}{m.Name}
 		for _, b := range batches {
 			base := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32})
-			cc := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, CC: true})
+			cc := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: b, Precision: nn.FP32, Mode: "tdx-h100"})
 			row = append(row, fmt.Sprintf("%.1f%%", 100*(1-cc.Throughput/base.Throughput)))
 		}
 		t.AddRow(row...)
@@ -361,8 +346,8 @@ func ExtLLMPrefill() Table {
 	}
 	for _, quant := range []nn.Quant{nn.BF16, nn.AWQ} {
 		for _, prompt := range []int{128, 512, 2048} {
-			base := nn.PrefillSimulate(nn.VLLM, quant, prompt, false)
-			cc := nn.PrefillSimulate(nn.VLLM, quant, prompt, true)
+			base := nn.PrefillSimulate(nn.VLLM, quant, prompt, "off")
+			cc := nn.PrefillSimulate(nn.VLLM, quant, prompt, "tdx-h100")
 			t.AddRow(quant.String(), prompt,
 				ms(base.WarmTTFT), ms(cc.WarmTTFT),
 				base.WeightLoad.Seconds(), cc.WeightLoad.Seconds(),
@@ -412,9 +397,9 @@ func ExtStartup() Table {
 		"certificate walk, measurement collection, key exchange")
 
 	// First CUDA API call inside the TD vs a legacy VM.
-	ctxInit := func(cc bool) time.Duration {
+	ctxInit := func(mode string) time.Duration {
 		e := sim.NewEngine()
-		rt := cuda.New(e, cuda.DefaultConfig(cc))
+		rt := cuda.New(e, modeConfig(mode))
 		var d time.Duration
 		e.Spawn("init", func(p *sim.Proc) {
 			c := rt.Bind(p)
@@ -425,8 +410,8 @@ func ExtStartup() Table {
 		e.Run()
 		return d
 	}
-	base := ctxInit(false)
-	cc := ctxInit(true)
+	base := ctxInit("off")
+	cc := ctxInit("tdx-h100")
 	t.AddRow("first CUDA call (context init), legacy VM", base, "")
 	t.AddRow("first CUDA call (context init), TD", cc,
 		fmt.Sprintf("%.1fx: channel-setup ioctls become hypercalls", float64(cc)/float64(base)))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/cuda"
 	"hccsim/internal/platform"
 	"hccsim/internal/sim"
@@ -134,9 +135,8 @@ func TestExtensionRegistryEntries(t *testing.T) {
 
 func TestTEEIOPlatformSemantics(t *testing.T) {
 	teeioParams := platform.MustByName(platform.Default).TDX
-	teeioParams.TEEIO = true
 	eng := sim.NewEngine()
-	pl := tdx.NewLegacyPlatform(eng, true, teeioParams)
+	pl := tdx.NewPlatform(eng, ccmode.TEEIODirect{}, teeioParams)
 	if pl.SoftwareCryptoPath() {
 		t.Fatal("TEE-IO platform should not use the software crypto path")
 	}
@@ -158,7 +158,7 @@ func TestCryptoWorkersParallelize(t *testing.T) {
 		eng := sim.NewEngine()
 		params := platform.MustByName(platform.Default).TDX
 		params.CryptoWorkers = workers
-		pl := tdx.NewLegacyPlatform(eng, true, params)
+		pl := tdx.NewPlatform(eng, ccmode.TDXH100{}, params)
 		for i := 0; i < 4; i++ {
 			eng.Spawn("enc", func(p *sim.Proc) { pl.Encrypt(p, 64<<20) })
 		}
@@ -171,7 +171,7 @@ func TestCryptoWorkersParallelize(t *testing.T) {
 
 func TestPrefetchThroughCUDAAPI(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := cuda.New(eng, cuda.DefaultConfig(true))
+	rt := cuda.New(eng, modeConfig("tdx-h100"))
 	eng.Spawn("host", func(p *sim.Proc) {
 		c := rt.Bind(p)
 		m := c.MallocManaged("m", 16<<20)
@@ -193,7 +193,7 @@ func TestPrefetchThroughCUDAAPI(t *testing.T) {
 func TestSNPUVMCheaperHypercalls(t *testing.T) {
 	run := func(params tdx.Params) sim.Time {
 		eng := sim.NewEngine()
-		cfg := cuda.DefaultConfig(true)
+		cfg := modeConfig("tdx-h100")
 		cfg.TDX = params
 		rt := cuda.New(eng, cfg)
 		eng.Spawn("host", func(p *sim.Proc) {

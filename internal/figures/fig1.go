@@ -48,16 +48,16 @@ func Fig01Overview() Table {
 
 	settings := []struct {
 		name string
-		cc   bool
+		mode string
 		app  func(*cuda.Context)
 	}{
-		{"CC-off", false, classic},
-		{"CC-on", true, classic},
-		{"CC-on UVM", true, managed},
+		{"CC-off", "off", classic},
+		{"CC-on", "tdx-h100", classic},
+		{"CC-on UVM", "tdx-h100", managed},
 	}
 	for _, s := range settings {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(s.cc))
+		rt := cuda.New(eng, modeConfig(s.mode))
 		eng.Spawn("fig1", func(p *sim.Proc) { s.app(rt.Bind(p)) })
 		end := eng.Run()
 		m := rt.Metrics()

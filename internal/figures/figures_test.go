@@ -306,15 +306,18 @@ func TestFig12cOverlapShape(t *testing.T) {
 }
 
 func TestTimelineEventsExport(t *testing.T) {
-	evs, err := TimelineEvents("sc", false)
+	evs, err := TimelineEvents("sc", "off")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) < 3000 { // 1611 launches + 1611 kernels
 		t.Fatalf("sc timeline has %d events", len(evs))
 	}
-	if _, err := TimelineEvents("nope", false); err == nil {
+	if _, err := TimelineEvents("nope", "off"); err == nil {
 		t.Fatal("expected error for unknown app")
+	}
+	if _, err := TimelineEvents("sc", "sgx"); err == nil {
+		t.Fatal("expected error for unknown mode")
 	}
 }
 
@@ -416,7 +419,7 @@ func TestObservation6KLRPredictsCCPain(t *testing.T) {
 	var launchBoundSum, hiddenSum float64
 	var launchBoundN, hiddenN int
 	for _, spec := range workloads.All() {
-		base, cc := workloads.Pair(spec, workloads.CopyExecute)
+		base, cc := runPair(spec, workloads.CopyExecute)
 		mb := core.Decompose(base.Runtime.Tracer())
 		// Judge by total time excluding copies (the copy tax applies to
 		// both classes; Observation 6 is about the launch tax).

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/core"
 	"hccsim/internal/cuda"
 	"hccsim/internal/gpu"
@@ -61,20 +62,16 @@ func Fig08CallStack() Table {
 		Title:   "cudaLaunchKernel call stack (flame-graph style)",
 		Columns: []string{"mode", "frame", "cost"},
 	}
-	for _, cc := range []bool{false, true} {
+	for _, m := range paperModes {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
-		mode := "base"
-		if cc {
-			mode = "cc"
-		}
+		rt := cuda.New(eng, modeConfig(m.name))
 		for _, f := range rt.LaunchCallStack() {
 			indent := strings.Repeat("  ", f.Depth)
 			cost := "-"
 			if f.Cost > 0 {
 				cost = f.Cost.String()
 			}
-			t.AddRow(mode, indent+f.Name, cost)
+			t.AddRow(m.label, indent+f.Name, cost)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -140,18 +137,14 @@ func Fig10Timelines() Table {
 	}
 	for _, name := range Fig10Apps {
 		spec := mustWorkload(name)
-		for _, cc := range []bool{false, true} {
-			res := runWorkload(spec, workloads.CopyExecute, cc)
+		for _, pm := range paperModes {
+			res := runWorkload(spec, workloads.CopyExecute, pm.name)
 			m := core.Decompose(res.Runtime.Tracer())
-			mode := "base"
-			if cc {
-				mode = "cc"
-			}
 			regime := "compute-hidden"
 			if m.LaunchBound() {
 				regime = "launch-bound"
 			}
-			t.AddRow(name, mode, ms(time.Duration(res.End)), m.Launches, m.Kernels,
+			t.AddRow(name, pm.label, ms(time.Duration(res.End)), m.Launches, m.Kernels,
 				us(trace.Mean(res.Runtime.Metrics().KLOs)), us(trace.Mean(res.Runtime.Metrics().KETs)),
 				m.KLR(), regime)
 		}
@@ -163,13 +156,18 @@ func Fig10Timelines() Table {
 
 // TimelineEvents returns the raw (start, duration) scatter points of launch
 // and kernel events for one app/mode — the full Fig. 10 panel data for
-// plotting or CSV export.
-func TimelineEvents(app string, cc bool) ([]trace.Event, error) {
+// plotting or CSV export. mode names the protection mode; an unknown name
+// is an error.
+func TimelineEvents(app, mode string) ([]trace.Event, error) {
 	spec, err := workloads.ByName(app)
 	if err != nil {
 		return nil, err
 	}
-	res := runWorkload(spec, workloads.CopyExecute, cc)
+	m, err := ccmode.ByName(mode)
+	if err != nil {
+		return nil, err
+	}
+	res := runWorkload(spec, workloads.CopyExecute, m.Name())
 	var out []trace.Event
 	for _, e := range res.Runtime.Tracer().Events() {
 		if e.Kind == trace.KindLaunch || e.Kind == trace.KindKernel {
@@ -189,28 +187,24 @@ func Fig11CDFs() Table {
 		Title:   "KLO and KET CDFs (pooled over the suite)",
 		Columns: []string{"metric", "mode", "p10", "p50", "p90", "p99", "mean"},
 	}
-	collect := func(cc bool) (klos, kets []time.Duration) {
+	collect := func(mode string) (klos, kets []time.Duration) {
 		for _, spec := range workloads.All() {
-			res := runWorkload(spec, workloads.CopyExecute, cc)
+			res := runWorkload(spec, workloads.CopyExecute, mode)
 			m := res.Runtime.Metrics()
 			klos = append(klos, m.KLOs...)
 			kets = append(kets, m.KETs...)
 		}
 		return
 	}
-	for _, cc := range []bool{false, true} {
-		mode := "base"
-		if cc {
-			mode = "cc"
-		}
-		klos, kets := collect(cc)
+	for _, m := range paperModes {
+		klos, kets := collect(m.name)
 		for _, metric := range []struct {
 			name    string
 			samples []time.Duration
 			trim    int
 		}{{"KLO", klos, 5}, {"KET", kets, 0}} {
 			xs, _ := trace.CDF(metric.samples, metric.trim)
-			t.AddRow(metric.name, mode,
+			t.AddRow(metric.name, m.label,
 				us(pct(xs, 0.10)), us(pct(xs, 0.50)), us(pct(xs, 0.90)), us(pct(xs, 0.99)),
 				us(trace.Mean(metric.samples)))
 		}
@@ -239,9 +233,9 @@ func Fig12aLaunchSeries() Table {
 		Title:   "KLO vs launch index (K0 x100 then K1 x100, 100ms nanosleep kernels)",
 		Columns: []string{"launch", "kernel", "base-klo-us", "cc-klo-us"},
 	}
-	series := func(cc bool) []time.Duration {
+	series := func(mode string) []time.Duration {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, modeConfig(mode))
 		eng.Spawn("micro", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			c.Malloc("warm", 1<<20) // context init outside the series
@@ -262,8 +256,8 @@ func Fig12aLaunchSeries() Table {
 		}
 		return out
 	}
-	base := series(false)
-	cc := series(true)
+	base := series("off")
+	cc := series("tdx-h100")
 	idx := []int{0, 1, 2, 9, 49, 99, 100, 101, 109, 149, 199}
 	for _, i := range idx {
 		kernel := "K0"

@@ -3,7 +3,6 @@ package figures
 import (
 	"sync"
 
-	"hccsim/internal/cuda"
 	"hccsim/internal/workloads"
 )
 
@@ -22,9 +21,9 @@ import (
 
 // runKey identifies one default-config workload run.
 type runKey struct {
-	app  string
-	mode workloads.Mode
-	cc   bool
+	app    string
+	mode   workloads.Mode
+	ccMode string // protection-mode name
 }
 
 type runEntry struct {
@@ -70,17 +69,17 @@ func beginReuse() func() {
 	}
 }
 
-// runWorkload executes one application with the default config for the
-// given CC mode, serving repeats from the active reuse scope when one is
-// open.
-func runWorkload(spec workloads.Spec, mode workloads.Mode, cc bool) workloads.Result {
+// runWorkload executes one application with the default config under the
+// named protection mode, serving repeats from the active reuse scope when
+// one is open.
+func runWorkload(spec workloads.Spec, mode workloads.Mode, ccMode string) workloads.Result {
 	memoMu.Lock()
 	memo := activeMemo
 	memoMu.Unlock()
 	if memo == nil {
-		return workloads.Execute(spec, mode, cuda.DefaultConfig(cc))
+		return workloads.Execute(spec, mode, modeConfig(ccMode))
 	}
-	key := runKey{app: spec.Name, mode: mode, cc: cc}
+	key := runKey{app: spec.Name, mode: mode, ccMode: ccMode}
 	memo.mu.Lock()
 	e, ok := memo.m[key]
 	if !ok {
@@ -88,12 +87,12 @@ func runWorkload(spec workloads.Spec, mode workloads.Mode, cc bool) workloads.Re
 		memo.m[key] = e
 	}
 	memo.mu.Unlock()
-	e.once.Do(func() { e.res = workloads.Execute(spec, mode, cuda.DefaultConfig(cc)) })
+	e.once.Do(func() { e.res = workloads.Execute(spec, mode, modeConfig(ccMode)) })
 	return e.res
 }
 
-// runPair is workloads.Pair through the reuse scope: the same application
-// CC-off and CC-on with default configs.
+// runPair runs the same application CC-off and CC-on with default configs
+// through the reuse scope — the basic comparison unit of Figs. 5-10.
 func runPair(spec workloads.Spec, mode workloads.Mode) (base, cc workloads.Result) {
-	return runWorkload(spec, mode, false), runWorkload(spec, mode, true)
+	return runWorkload(spec, mode, "off"), runWorkload(spec, mode, "tdx-h100")
 }

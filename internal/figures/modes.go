@@ -96,6 +96,10 @@ func ExtModes() Table {
 	return t
 }
 
+// paperModes are the paper's two columns, its CC-off and CC-on H100 runs,
+// under the labels its figures print.
+var paperModes = []struct{ label, name string }{{"base", "off"}, {"cc", "tdx-h100"}}
+
 // modeConfig resolves a protection-mode name to a default system config,
 // panicking on unknown names (figure generators use static literals, so a
 // lookup failure is a programming error, not an input error).

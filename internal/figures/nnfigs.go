@@ -26,14 +26,11 @@ func Fig13CNN() Table {
 				precs = append(precs, nn.FP16)
 			}
 			for _, prec := range precs {
-				for _, cc := range []bool{false, true} {
-					r := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: prec, CC: cc})
-					mode := "base"
-					if cc {
-						mode = "cc"
-					}
+				for _, pm := range paperModes {
+					r := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: prec, Mode: pm.name})
+					cc := pm.name != "off"
 					norm := r.TrainingTime.Seconds() / ref.TrainingTime.Seconds()
-					t.AddRow(m.Name, batch, prec.String(), mode, r.Throughput, norm)
+					t.AddRow(m.Name, batch, prec.String(), pm.label, r.Throughput, norm)
 
 					if prec == nn.FP32 && cc {
 						if batch == 64 {
@@ -43,11 +40,11 @@ func Fig13CNN() Table {
 						}
 					}
 					if prec == nn.FP16 && cc && batch == 1024 {
-						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, CC: true})
+						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: batch, Precision: nn.FP32, Mode: "tdx-h100"})
 						fp16Cut += 1 - r.TrainingTime.Seconds()/ccFP32.TrainingTime.Seconds()
 					}
 					if prec == nn.AMP && cc && batch == 64 {
-						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, CC: true})
+						ccFP32 := nn.TrainSimulate(nn.TrainConfig{Model: m, Batch: 64, Precision: nn.FP32, Mode: "tdx-h100"})
 						ampEffect64 += 1 - r.Throughput/ccFP32.Throughput
 					}
 				}
@@ -74,15 +71,16 @@ func Fig14LLM() Table {
 	}
 	type series struct {
 		quant nn.Quant
-		cc    bool
+		cc    string // the label's cc-on/cc-off half
+		mode  string
 	}
-	all := []series{{nn.BF16, false}, {nn.BF16, true}, {nn.AWQ, false}, {nn.AWQ, true}}
+	all := []series{{nn.BF16, "off", "off"}, {nn.BF16, "on", "tdx-h100"}, {nn.AWQ, "off", "off"}, {nn.AWQ, "on", "tdx-h100"}}
 	minSpeedup := 1e18
 	for _, s := range all {
-		row := []interface{}{fmt.Sprintf("%s|cc-%v|vllm", s.quant, onOff(s.cc))}
+		row := []interface{}{fmt.Sprintf("%s|cc-%s|vllm", s.quant, s.cc)}
 		for _, b := range nn.Batches {
 			baseline := nn.LLMSimulate(nn.LLMConfig{Backend: nn.HF, Quant: nn.BF16, Batch: b})
-			v := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: s.quant, Batch: b, CC: s.cc})
+			v := nn.LLMSimulate(nn.LLMConfig{Backend: nn.VLLM, Quant: s.quant, Batch: b, Mode: s.mode})
 			speedup := v.TokensPerSec / baseline.TokensPerSec
 			if speedup < minSpeedup {
 				minSpeedup = speedup
@@ -96,11 +94,4 @@ func Fig14LLM() Table {
 		"AWQ wins at small batches (memory-bound decode); BF16 wins at batch 64/128 (dequantization tax)",
 		"the paper's BF16 batch-8 CC-on>CC-off anomaly is run-to-run noise; a deterministic simulator cannot reproduce it")
 	return t
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }

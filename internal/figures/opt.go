@@ -30,9 +30,9 @@ func Fig12bFusion() Table {
 	const totalKET = 5 * time.Millisecond
 	const totalCode = int64(8 << 20)
 
-	run := func(cc bool, n int) (klo, lqt, total time.Duration) {
+	run := func(mode string, n int) (klo, lqt, total time.Duration) {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, modeConfig(mode))
 		eng.Spawn("fusion", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			c.Malloc("warm", 1<<20)
@@ -58,8 +58,8 @@ func Fig12bFusion() Table {
 	var bestBase, bestCC int
 	bestBaseT, bestCCT := time.Duration(1<<62), time.Duration(1<<62)
 	for _, n := range Fig12bFusionLevels {
-		bk, bl, bt := run(false, n)
-		ck, cl, ct := run(true, n)
+		bk, bl, bt := run("off", n)
+		ck, cl, ct := run("tdx-h100", n)
 		t.AddRow(n, ms(bk), ms(bl), ms(bt), ms(ck), ms(cl), ms(ct))
 		if bt < bestBaseT {
 			bestBaseT, bestBase = bt, n
@@ -86,9 +86,9 @@ func Fig12cOverlap() Table {
 		Columns: []string{"transfer", "ket", "streams",
 			"base-total-ms", "base-alpha", "cc-total-ms", "cc-alpha"},
 	}
-	run := func(cc bool, totalBytes int64, ket time.Duration, streams int) (time.Duration, float64) {
+	run := func(mode string, totalBytes int64, ket time.Duration, streams int) (time.Duration, float64) {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, modeConfig(mode))
 		var total time.Duration
 		eng.Spawn("overlap", func(p *sim.Proc) {
 			c := rt.Bind(p)
@@ -118,8 +118,8 @@ func Fig12cOverlap() Table {
 	for _, bytes := range []int64{512 << 20, 1 << 30} {
 		for _, ket := range []time.Duration{time.Millisecond, 100 * time.Millisecond} {
 			for _, s := range Fig12cStreams {
-				bt, ba := run(false, bytes, ket, s)
-				ct, ca := run(true, bytes, ket, s)
+				bt, ba := run("off", bytes, ket, s)
+				ct, ca := run("tdx-h100", bytes, ket, s)
 				t.AddRow(byteSize(bytes), ket, s, ms(bt), ba, ms(ct), ca)
 			}
 		}

@@ -20,9 +20,9 @@ var Fig04aSizes = []int64{
 
 // measureBandwidth times one cudaMemcpy of n bytes in the given setting and
 // returns GB/s (allocation time excluded, as bandwidth tests warm buffers).
-func measureBandwidth(cc, pinned, h2d bool, n int64) float64 {
+func measureBandwidth(mode string, pinned, h2d bool, n int64) float64 {
 	eng := sim.NewEngine()
-	rt := cuda.New(eng, cuda.DefaultConfig(cc))
+	rt := cuda.New(eng, modeConfig(mode))
 	var dur time.Duration
 	eng.Spawn("bw", func(p *sim.Proc) {
 		c := rt.Bind(p)
@@ -56,10 +56,10 @@ func Fig04aBandwidth() Table {
 	}
 	for _, n := range Fig04aSizes {
 		t.AddRow(byteSize(n),
-			measureBandwidth(false, false, true, n), measureBandwidth(false, true, true, n),
-			measureBandwidth(true, false, true, n), measureBandwidth(true, true, true, n),
-			measureBandwidth(false, false, false, n), measureBandwidth(false, true, false, n),
-			measureBandwidth(true, false, false, n), measureBandwidth(true, true, false, n))
+			measureBandwidth("off", false, true, n), measureBandwidth("off", true, true, n),
+			measureBandwidth("tdx-h100", false, true, n), measureBandwidth("tdx-h100", true, true, n),
+			measureBandwidth("off", false, false, n), measureBandwidth("off", true, false, n),
+			measureBandwidth("tdx-h100", false, false, n), measureBandwidth("tdx-h100", true, false, n))
 	}
 	t.Notes = append(t.Notes,
 		"paper: CC plateau ~3.03 GB/s just below single-core AES-GCM (3.36 GB/s)",
@@ -181,9 +181,9 @@ func allocSplit(rt *cuda.Runtime) (hmalloc, dmalloc, free time.Duration) {
 // managedAllocTimes measures cudaMallocManaged and managed-free CC/base
 // ratios directly.
 func managedAllocTimes() (allocRatio, freeRatio float64) {
-	measure := func(cc bool) (alloc, free time.Duration) {
+	measure := func(mode string) (alloc, free time.Duration) {
 		eng := sim.NewEngine()
-		rt := cuda.New(eng, cuda.DefaultConfig(cc))
+		rt := cuda.New(eng, modeConfig(mode))
 		eng.Spawn("m", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			c.Malloc("warm", 1<<20) // absorb context init
@@ -201,8 +201,8 @@ func managedAllocTimes() (allocRatio, freeRatio float64) {
 		}
 		return
 	}
-	aB, fB := measure(false)
-	aC, fC := measure(true)
+	aB, fB := measure("off")
+	aC, fC := measure("tdx-h100")
 	return ratioOf(aC, aB), ratioOf(fC, fB)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/hbm"
 	"hccsim/internal/pcie"
 	"hccsim/internal/sim"
@@ -21,9 +22,9 @@ type rig struct {
 	tracer *trace.Tracer
 }
 
-func newRig(cc bool) *rig {
+func newRig(mode ccmode.Mode) *rig {
 	eng := sim.NewEngine()
-	pl := tdx.NewLegacyPlatform(eng, cc, tdxParams())
+	pl := tdx.NewPlatform(eng, mode, tdxParams())
 	link := pcie.NewLink(eng, pcieParams())
 	mem := hbm.NewAllocator(hbmParams())
 	mgr := uvm.NewManager(eng, pl, link, uvmParams())
@@ -38,7 +39,7 @@ func (r *rig) run(body func(p *sim.Proc)) sim.Time {
 }
 
 func TestKernelTimeFixed(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	spec := KernelSpec{Name: "sleep", Fixed: 100 * time.Millisecond}
 	if got := r.dev.KernelTime(spec); got != 100*time.Millisecond {
 		t.Fatalf("fixed kernel time = %v", got)
@@ -46,7 +47,7 @@ func TestKernelTimeFixed(t *testing.T) {
 }
 
 func TestKernelTimeRoofline(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	// Compute-bound: 6e12 FLOPs at 60 TFLOPs ~= 100 ms.
 	cb := KernelSpec{Name: "cb", Blocks: 4096, ThreadsPerBlock: 256, FLOPs: 6e12, MemBytes: 1 << 20}
 	got := r.dev.KernelTime(cb)
@@ -62,7 +63,7 @@ func TestKernelTimeRoofline(t *testing.T) {
 }
 
 func TestKernelTimeOccupancyPenalty(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	big := KernelSpec{Name: "k", Blocks: 2048, ThreadsPerBlock: 1024, FLOPs: 1e12}
 	small := big
 	small.Blocks = 4
@@ -74,15 +75,15 @@ func TestKernelTimeOccupancyPenalty(t *testing.T) {
 func TestKernelExecutionUnaffectedByCC(t *testing.T) {
 	// Observation 5: non-UVM KET identical under CC.
 	spec := KernelSpec{Name: "k", Blocks: 4096, ThreadsPerBlock: 256, FLOPs: 1e12, MemBytes: 1 << 30}
-	a := newRig(false)
-	b := newRig(true)
+	a := newRig(ccmode.Off{})
+	b := newRig(ccmode.TDXH100{})
 	if a.dev.KernelTime(spec) != b.dev.KernelTime(spec) {
 		t.Fatal("CC changed non-UVM kernel execution time")
 	}
 }
 
 func TestChannelRunsKernelAndTraces(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	ch := r.dev.NewChannel()
 	spec := KernelSpec{Name: "k1", Fixed: time.Millisecond}
 	r.run(func(p *sim.Proc) {
@@ -109,21 +110,21 @@ func TestChannelRunsKernelAndTraces(t *testing.T) {
 func TestCCDispatchSlowerThanBase(t *testing.T) {
 	// The CC command processor must authenticate packets: kernel start is
 	// later even though execution time is identical.
-	startOf := func(cc bool) sim.Time {
-		r := newRig(cc)
+	startOf := func(mode ccmode.Mode) sim.Time {
+		r := newRig(mode)
 		ch := r.dev.NewChannel()
 		r.run(func(p *sim.Proc) {
 			ch.SubmitKernel(KernelSpec{Name: "k", Fixed: time.Microsecond}, 1, false).Wait(p)
 		})
 		return r.tracer.OfKind(trace.KindKernel)[0].Start
 	}
-	if startOf(true) <= startOf(false) {
+	if startOf(ccmode.TDXH100{}) <= startOf(ccmode.Off{}) {
 		t.Fatal("CC kernel dispatch not slower")
 	}
 }
 
 func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	ch := r.dev.NewChannel()
 	var ends []sim.Time
 	r.run(func(p *sim.Proc) {
@@ -139,7 +140,7 @@ func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
 	}
 
 	// Copy on one channel overlaps kernel on another.
-	r2 := newRig(false)
+	r2 := newRig(ccmode.Off{})
 	chA := r2.dev.NewChannel()
 	chB := r2.dev.NewChannel()
 	end := r2.run(func(p *sim.Proc) {
@@ -156,15 +157,15 @@ func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
 
 func TestTransferPathsOrdering(t *testing.T) {
 	const n = 256 << 20
-	timeFor := func(cc, pinned bool) time.Duration {
-		r := newRig(cc)
+	timeFor := func(mode ccmode.Mode, pinned bool) time.Duration {
+		r := newRig(mode)
 		end := r.run(func(p *sim.Proc) { r.dev.TransferHD(p, pcie.H2D, n, pinned) })
 		return time.Duration(end)
 	}
-	pinBase := timeFor(false, true)
-	pageBase := timeFor(false, false)
-	pinCC := timeFor(true, true)
-	pageCC := timeFor(true, false)
+	pinBase := timeFor(ccmode.Off{}, true)
+	pageBase := timeFor(ccmode.Off{}, false)
+	pinCC := timeFor(ccmode.TDXH100{}, true)
+	pageCC := timeFor(ccmode.TDXH100{}, false)
 
 	// Non-CC: pinned faster than pageable (staging copy).
 	if pinBase >= pageBase {
@@ -183,7 +184,7 @@ func TestTransferPathsOrdering(t *testing.T) {
 
 func TestCCBandwidthNearCryptoBound(t *testing.T) {
 	const n = 1 << 30
-	r := newRig(true)
+	r := newRig(ccmode.TDXH100{})
 	end := r.run(func(p *sim.Proc) { r.dev.TransferHD(p, pcie.H2D, n, true) })
 	gbps := float64(n) / time.Duration(end).Seconds() / 1e9
 	// Fig 4a anchor: CC plateau ~3.03 GB/s, just under AES-GCM's 3.36.
@@ -193,13 +194,13 @@ func TestCCBandwidthNearCryptoBound(t *testing.T) {
 }
 
 func TestCCPinnedLabelledManaged(t *testing.T) {
-	r := newRig(true)
+	r := newRig(ccmode.TDXH100{})
 	var managed bool
 	r.run(func(p *sim.Proc) { managed = r.dev.TransferHD(p, pcie.H2D, 1<<20, true) })
 	if !managed {
 		t.Fatal("CC pinned transfer not flagged managed")
 	}
-	r2 := newRig(false)
+	r2 := newRig(ccmode.Off{})
 	r2.run(func(p *sim.Proc) {
 		if r2.dev.TransferHD(p, pcie.H2D, 1<<20, true) {
 			t.Error("non-CC pinned transfer flagged managed")
@@ -209,8 +210,8 @@ func TestCCPinnedLabelledManaged(t *testing.T) {
 
 func TestTransferDDUnaffectedByCC(t *testing.T) {
 	const n = 1 << 30
-	a := newRig(false)
-	b := newRig(true)
+	a := newRig(ccmode.Off{})
+	b := newRig(ccmode.TDXH100{})
 	endA := a.run(func(p *sim.Proc) { a.dev.TransferDD(p, n) })
 	endB := b.run(func(p *sim.Proc) { b.dev.TransferDD(p, n) })
 	if endA != endB {
@@ -231,7 +232,7 @@ func TestFuseCombinesWork(t *testing.T) {
 }
 
 func TestMarkerFiresAfterPriorWork(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	ch := r.dev.NewChannel()
 	var markerAt sim.Time
 	r.run(func(p *sim.Proc) {
@@ -248,7 +249,7 @@ func TestMarkerFiresAfterPriorWork(t *testing.T) {
 // Property: UVM kernels are never faster under CC, and kernel time grows
 // monotonically with FLOPs.
 func TestPropertyKernelTimeMonotone(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	f := func(flops uint32, mem uint32) bool {
 		s1 := KernelSpec{Name: "k", Blocks: 1024, ThreadsPerBlock: 256,
 			FLOPs: float64(flops), MemBytes: int64(mem)}
@@ -263,8 +264,8 @@ func TestPropertyKernelTimeMonotone(t *testing.T) {
 }
 
 func TestUVMKernelSlowerUnderCC(t *testing.T) {
-	runKernel := func(cc bool) time.Duration {
-		r := newRig(cc)
+	runKernel := func(mode ccmode.Mode) time.Duration {
+		r := newRig(mode)
 		ch := r.dev.NewChannel()
 		rng := r.dev.UVM().NewRange(64 << 20)
 		r.run(func(p *sim.Proc) {
@@ -274,8 +275,8 @@ func TestUVMKernelSlowerUnderCC(t *testing.T) {
 		})
 		return r.tracer.OfKind(trace.KindKernel)[0].Duration()
 	}
-	base := runKernel(false)
-	cc := runKernel(true)
+	base := runKernel(ccmode.Off{})
+	cc := runKernel(ccmode.TDXH100{})
 	if ratio := float64(cc) / float64(base); ratio < 3 {
 		t.Fatalf("UVM kernel under CC only %.1fx slower (%v vs %v)", ratio, cc, base)
 	}

@@ -21,10 +21,10 @@ const capacitySearchIters = 9
 
 // FindCapacity binary-searches the maximum offered rate (QPS) at which the
 // configuration still meets its SLO attainment target. cfg.RateQPS seeds
-// the initial guess (its default is 1); Trace-driven configs cannot be
-// rate-scaled and return an error via Run.
+// the initial guess (0 means 1; otherwise it must pass CheckRate); a Trace
+// is dropped, since replayed gaps cannot be rate-scaled.
 func FindCapacity(cfg Config) (Capacity, error) {
-	if cfg.RateQPS <= 0 {
+	if cfg.RateQPS == 0 {
 		cfg.RateQPS = 1
 	}
 	cfg.Trace = nil

@@ -16,6 +16,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hccsim/internal/cuda"
@@ -71,11 +72,12 @@ type Config struct {
 
 	// Seed seeds the injected RNG for arrivals and lengths; default 1.
 	Seed uint64
-	// Requests is the offered request count; default 160 (enough for the
-	// resident set to reach KV-pool saturation at rates near the knee).
+	// Requests is the offered request count; 0 means the default 160
+	// (enough for the resident set to reach KV-pool saturation at rates
+	// near the knee), and a negative count is an error.
 	Requests int
 	// RateQPS is the Poisson arrival rate in requests per second.
-	// Required (>0) unless Trace is set.
+	// Required (finite, >0; see CheckRate) unless Trace is set.
 	RateQPS float64
 	// Trace optionally replays explicit interarrival gaps instead of
 	// Poisson arrivals; Requests is capped at len(Trace).
@@ -161,9 +163,6 @@ func (cfg Config) withDefaults() (Config, nn.Backend, nn.Quant, cuda.Config, err
 	if cfg.System != nil {
 		sys, err = cfg.System.Normalize()
 	} else {
-		if cfg.Mode == "" {
-			cfg.Mode = "off"
-		}
 		sys, err = cuda.PlatformConfig(cfg.Platform, cfg.Mode)
 	}
 	if err != nil {
@@ -175,14 +174,19 @@ func (cfg Config) withDefaults() (Config, nn.Backend, nn.Quant, cuda.Config, err
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Requests <= 0 {
+	if cfg.Requests < 0 {
+		return cfg, 0, 0, cuda.Config{}, fmt.Errorf("serve: negative request count %d (0 means the default %d)", cfg.Requests, defaultRequests)
+	}
+	if cfg.Requests == 0 {
 		cfg.Requests = defaultRequests
 	}
 	if len(cfg.Trace) > 0 && cfg.Requests > len(cfg.Trace) {
 		cfg.Requests = len(cfg.Trace)
 	}
-	if len(cfg.Trace) == 0 && cfg.RateQPS <= 0 {
-		return cfg, 0, 0, cuda.Config{}, fmt.Errorf("serve: RateQPS must be positive (got %g) unless Trace is set", cfg.RateQPS)
+	if len(cfg.Trace) == 0 {
+		if err := CheckRate(cfg.RateQPS); err != nil {
+			return cfg, 0, 0, cuda.Config{}, fmt.Errorf("%w (RateQPS is required unless Trace is set)", err)
+		}
 	}
 	if cfg.PromptTokens.Mean <= 0 {
 		cfg.PromptTokens = LengthDist{Mean: defaultPromptMean, Spread: defaultPromptSpread}
@@ -226,6 +230,16 @@ func (cfg Config) withDefaults() (Config, nn.Backend, nn.Quant, cuda.Config, err
 		cfg.SLO.TargetFrac = defaultSLOTarget
 	}
 	return cfg, backend, quant, sys, nil
+}
+
+// CheckRate is the one validation of an offered request rate: it must be
+// finite and positive. Config, the CLIs, and sweep axes and jobs all call
+// it, so NaN or an infinite rate fails loudly instead of simulating.
+func CheckRate(rateQPS float64) error {
+	if !(rateQPS > 0) || math.IsInf(rateQPS, 1) {
+		return fmt.Errorf("serve: rate %g QPS is not finite and positive", rateQPS)
+	}
+	return nil
 }
 
 // LatencySummary condenses one latency histogram.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,10 @@ func TestConfigValidation(t *testing.T) {
 		{"bad backend", Config{Backend: "tgi", RateQPS: 1}, "backend"},
 		{"bad quant", Config{Quant: "fp4", RateQPS: 1}, "quant"},
 		{"no rate", Config{}, "RateQPS"},
+		{"negative rate", Config{RateQPS: -1}, "RateQPS"},
+		{"NaN rate", Config{RateQPS: math.NaN()}, "RateQPS"},
+		{"infinite rate", Config{RateQPS: math.Inf(1)}, "RateQPS"},
+		{"negative requests", Config{RateQPS: 1, Requests: -5}, "request count"},
 		{"kv too small", Config{RateQPS: 1, KVCapBytes: 1}, "block"},
 	}
 	for _, tc := range cases {
@@ -172,6 +177,11 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: Run accepted invalid config", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := FindCapacity(Config{RateQPS: rate}); err == nil {
+			t.Errorf("FindCapacity accepted rate %g", rate)
 		}
 	}
 }

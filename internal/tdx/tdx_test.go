@@ -5,12 +5,13 @@ import (
 	"testing/quick"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/sim"
 )
 
-func run(cc bool, body func(pl *Platform, p *sim.Proc)) (*Platform, sim.Time) {
+func run(mode ccmode.Mode, body func(pl *Platform, p *sim.Proc)) (*Platform, sim.Time) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, cc, defaultParams())
+	pl := NewPlatform(eng, mode, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) { body(pl, p) })
 	end := eng.Run()
 	return pl, end
@@ -25,8 +26,8 @@ func TestHypercallMoreExpensiveThanExit(t *testing.T) {
 }
 
 func TestMMIODirectVsTrapped(t *testing.T) {
-	_, endVM := run(false, func(pl *Platform, p *sim.Proc) { pl.MMIO(p) })
-	plTD, endTD := run(true, func(pl *Platform, p *sim.Proc) { pl.MMIO(p) })
+	_, endVM := run(ccmode.Off{}, func(pl *Platform, p *sim.Proc) { pl.MMIO(p) })
+	plTD, endTD := run(ccmode.TDXH100{}, func(pl *Platform, p *sim.Proc) { pl.MMIO(p) })
 	if endTD <= endVM {
 		t.Fatalf("TD MMIO (%v) not slower than VM MMIO (%v)", endTD, endVM)
 	}
@@ -36,7 +37,7 @@ func TestMMIODirectVsTrapped(t *testing.T) {
 }
 
 func TestPageOpsNoOpWithoutCC(t *testing.T) {
-	pl, end := run(false, func(pl *Platform, p *sim.Proc) {
+	pl, end := run(ccmode.Off{}, func(pl *Platform, p *sim.Proc) {
 		pl.AcceptPrivate(p, 1<<20)
 		pl.ConvertShared(p, 1<<20)
 		pl.ScrubPrivate(p, 1<<20)
@@ -55,13 +56,13 @@ func TestPageOpsNoOpWithoutCC(t *testing.T) {
 }
 
 func TestPageOpsScaleWithPages(t *testing.T) {
-	_, end1 := run(true, func(pl *Platform, p *sim.Proc) { pl.ConvertShared(p, 4096) })
-	_, end4 := run(true, func(pl *Platform, p *sim.Proc) { pl.ConvertShared(p, 4*4096) })
+	_, end1 := run(ccmode.TDXH100{}, func(pl *Platform, p *sim.Proc) { pl.ConvertShared(p, 4096) })
+	_, end4 := run(ccmode.TDXH100{}, func(pl *Platform, p *sim.Proc) { pl.ConvertShared(p, 4*4096) })
 	if end4 != 4*end1 {
 		t.Fatalf("ConvertShared not linear in pages: %v vs 4x%v", end4, end1)
 	}
 	// Partial pages round up.
-	_, endPartial := run(true, func(pl *Platform, p *sim.Proc) { pl.ConvertShared(p, 1) })
+	_, endPartial := run(ccmode.TDXH100{}, func(pl *Platform, p *sim.Proc) { pl.ConvertShared(p, 1) })
 	if endPartial != end1 {
 		t.Fatalf("partial page not rounded up: %v vs %v", endPartial, end1)
 	}
@@ -69,7 +70,7 @@ func TestPageOpsScaleWithPages(t *testing.T) {
 
 func TestEncryptChargesCryptoWorkerSerially(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	const n = 10 << 20
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
@@ -96,7 +97,7 @@ func TestBouncePoolBlocksWhenExhausted(t *testing.T) {
 	eng := sim.NewEngine()
 	params := defaultParams()
 	params.BounceBufBytes = 1 << 20
-	pl := NewLegacyPlatform(eng, true, params)
+	pl := NewPlatform(eng, ccmode.TDXH100{}, params)
 	var secondStart sim.Time
 	eng.Spawn("a", func(p *sim.Proc) {
 		pl.BounceAcquire(p, 1<<20)
@@ -122,7 +123,7 @@ func TestBounceOversizedRequestPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	params := defaultParams()
 	params.BounceBufBytes = 4096
-	pl := NewLegacyPlatform(eng, true, params)
+	pl := NewPlatform(eng, ccmode.TDXH100{}, params)
 	eng.Spawn("a", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
@@ -136,7 +137,7 @@ func TestBounceOversizedRequestPanics(t *testing.T) {
 
 func TestBounceUnderflowPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on bounce underflow")
@@ -151,12 +152,12 @@ func TestPropertyCCAlwaysCostsMore(t *testing.T) {
 	f := func(kb uint16) bool {
 		n := int64(kb)*1024 + 1
 		var ccEnd, vmEnd sim.Time
-		_, ccEnd = run(true, func(pl *Platform, p *sim.Proc) {
+		_, ccEnd = run(ccmode.TDXH100{}, func(pl *Platform, p *sim.Proc) {
 			pl.ConvertShared(p, n)
 			pl.Encrypt(p, n)
 			pl.MMIO(p)
 		})
-		_, vmEnd = run(false, func(pl *Platform, p *sim.Proc) {
+		_, vmEnd = run(ccmode.Off{}, func(pl *Platform, p *sim.Proc) {
 			pl.ConvertShared(p, n)
 			pl.Encrypt(p, n)
 			pl.MMIO(p)
@@ -170,7 +171,7 @@ func TestPropertyCCAlwaysCostsMore(t *testing.T) {
 
 func TestCryptoTimeZeroWithoutCC(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, false, defaultParams())
+	pl := NewPlatform(eng, ccmode.Off{}, defaultParams())
 	if pl.CryptoTime(1<<20) != 0 {
 		t.Fatal("CryptoTime should be 0 without CC")
 	}
@@ -179,7 +180,6 @@ func TestCryptoTimeZeroWithoutCC(t *testing.T) {
 func TestProfilePresets(t *testing.T) {
 	td := defaultParams()
 	snp := snpParams()
-	teeio := teeioParams()
 	// SNP: cheaper exits, dearer page-state changes.
 	if snp.Hypercall >= td.Hypercall {
 		t.Fatal("SNP VMGEXIT not cheaper than TDX SEAM transit")
@@ -187,14 +187,11 @@ func TestProfilePresets(t *testing.T) {
 	if snp.SEPTPerPage <= td.SEPTPerPage || snp.ConvertPerPage <= td.ConvertPerPage {
 		t.Fatal("SNP RMP page operations not dearer than TDX SEPT")
 	}
-	if !teeio.TEEIO || td.TEEIO || snp.TEEIO {
-		t.Fatal("TEEIO flag wrong across presets")
-	}
 }
 
 func TestAccessorsAndPaths(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	if !pl.CC() || !pl.SoftwareCryptoPath() {
 		t.Fatal("stock TD should report CC + software crypto path")
 	}
@@ -207,7 +204,7 @@ func TestAccessorsAndPaths(t *testing.T) {
 	if pl.MMIOCost() != defaultParams().Hypercall {
 		t.Fatal("TD MMIOCost should be a hypercall")
 	}
-	vm := NewLegacyPlatform(eng, false, defaultParams())
+	vm := NewPlatform(eng, ccmode.Off{}, defaultParams())
 	if vm.SoftwareCryptoPath() {
 		t.Fatal("legacy VM reports software crypto path")
 	}
@@ -218,7 +215,7 @@ func TestAccessorsAndPaths(t *testing.T) {
 
 func TestHypercallAndHostMemcpy(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.Hypercall(p)
 		pl.HostMemcpy(p, 115*1000*1000) // ~10ms at 11.5 GB/s
@@ -237,17 +234,17 @@ func TestHypercallAndHostMemcpy(t *testing.T) {
 
 func TestTEEIOEncryptDecryptAreIDE(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, teeioParams())
+	pl := NewPlatform(eng, ccmode.TEEIODirect{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.Encrypt(p, 1<<30)
 		pl.Decrypt(p, 1<<30)
 	})
 	end := eng.Run()
-	want := 2 * teeioParams().IDEPerTLP
+	want := 2 * defaultParams().IDEPerTLP
 	if time.Duration(end) != want {
 		t.Fatalf("TEE-IO crypto = %v, want %v (hardware IDE)", time.Duration(end), want)
 	}
-	if pl.CryptoTime(1<<20) != teeioParams().IDEPerTLP {
+	if pl.CryptoTime(1<<20) != defaultParams().IDEPerTLP {
 		t.Fatal("TEE-IO CryptoTime wrong")
 	}
 	if pl.Stats().BytesEncrypted != 1<<30 || pl.Stats().BytesDecrypted != 1<<30 {
@@ -257,7 +254,7 @@ func TestTEEIOEncryptDecryptAreIDE(t *testing.T) {
 
 func TestDecryptChargesWorker(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) { pl.Decrypt(p, 33_600_000) }) // ~10ms at 3.36GB/s
 	end := eng.Run()
 	if time.Duration(end) < 9*time.Millisecond {
@@ -270,7 +267,7 @@ func TestDecryptChargesWorker(t *testing.T) {
 
 func TestPartialPageRoundUpOps(t *testing.T) {
 	eng := sim.NewEngine()
-	pl := NewLegacyPlatform(eng, true, defaultParams())
+	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.AcceptPrivate(p, 1)
 		pl.ScrubPrivate(p, 1)

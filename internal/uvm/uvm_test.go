@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hccsim/internal/ccmode"
 	"hccsim/internal/pcie"
 	"hccsim/internal/sim"
 	"hccsim/internal/tdx"
@@ -17,9 +18,9 @@ type rig struct {
 	mgr  *Manager
 }
 
-func newRig(cc bool) *rig {
+func newRig(mode ccmode.Mode) *rig {
 	eng := sim.NewEngine()
-	pl := tdx.NewLegacyPlatform(eng, cc, tdxParams())
+	pl := tdx.NewPlatform(eng, mode, tdxParams())
 	link := pcie.NewLink(eng, pcieParams())
 	return &rig{eng: eng, pl: pl, link: link, mgr: NewManager(eng, pl, link, defaultParams())}
 }
@@ -30,7 +31,7 @@ func (r *rig) run(body func(p *sim.Proc)) sim.Time {
 }
 
 func TestFirstTouchMigratesSecondIsFree(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(4 << 20)
 	var first, second time.Duration
 	r.run(func(p *sim.Proc) {
@@ -54,11 +55,11 @@ func TestFirstTouchMigratesSecondIsFree(t *testing.T) {
 
 func TestCCMigrationMuchSlower(t *testing.T) {
 	const n = 32 << 20
-	base := newRig(false)
+	base := newRig(ccmode.Off{})
 	bRange := base.mgr.NewRange(n)
 	baseEnd := base.run(func(p *sim.Proc) { bRange.GPUAccess(p, n, false) })
 
-	cc := newRig(true)
+	cc := newRig(ccmode.TDXH100{})
 	cRange := cc.mgr.NewRange(n)
 	ccEnd := cc.run(func(p *sim.Proc) { cRange.GPUAccess(p, n, false) })
 
@@ -72,11 +73,11 @@ func TestCCMigrationMuchSlower(t *testing.T) {
 
 func TestCCUsesSmallerBatches(t *testing.T) {
 	const n = 8 << 20
-	base := newRig(false)
+	base := newRig(ccmode.Off{})
 	bRange := base.mgr.NewRange(n)
 	base.run(func(p *sim.Proc) { bRange.GPUAccess(p, n, false) })
 
-	cc := newRig(true)
+	cc := newRig(ccmode.TDXH100{})
 	cRange := cc.mgr.NewRange(n)
 	cc.run(func(p *sim.Proc) { cRange.GPUAccess(p, n, false) })
 
@@ -88,11 +89,11 @@ func TestCCUsesSmallerBatches(t *testing.T) {
 
 func TestRandomPatternMoreBatches(t *testing.T) {
 	const n = 8 << 20
-	a := newRig(false)
+	a := newRig(ccmode.Off{})
 	ra := a.mgr.NewRange(n)
 	a.run(func(p *sim.Proc) { ra.GPUAccess(p, n, false) })
 
-	b := newRig(false)
+	b := newRig(ccmode.Off{})
 	rb := b.mgr.NewRange(n)
 	b.run(func(p *sim.Proc) { rb.GPUAccess(p, n, true) })
 
@@ -103,7 +104,7 @@ func TestRandomPatternMoreBatches(t *testing.T) {
 }
 
 func TestHostAccessWritesBack(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(2 << 20)
 	r.run(func(p *sim.Proc) {
 		rng.GPUAccess(p, 2<<20, false)
@@ -124,7 +125,7 @@ func TestHostAccessWritesBack(t *testing.T) {
 }
 
 func TestEvictionUnderResidentLimit(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	r.mgr.SetResidentLimit(2 << 20)
 	a := r.mgr.NewRange(2 << 20)
 	b := r.mgr.NewRange(2 << 20)
@@ -147,7 +148,7 @@ func TestEvictionUnderResidentLimit(t *testing.T) {
 }
 
 func TestReleaseDropsResidency(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(1 << 20)
 	r.run(func(p *sim.Proc) { rng.GPUAccess(p, 1<<20, false) })
 	rng.Release()
@@ -163,7 +164,7 @@ func TestReleaseDropsResidency(t *testing.T) {
 }
 
 func TestAccessReleasedRangePanics(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(1 << 20)
 	rng.Release()
 	r.eng.Spawn("t", func(p *sim.Proc) {
@@ -178,7 +179,7 @@ func TestAccessReleasedRangePanics(t *testing.T) {
 }
 
 func TestPartialAccessOnlyMigratesTouchedPages(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(4 << 20)
 	r.run(func(p *sim.Proc) { rng.GPUAccess(p, 1<<20, false) })
 	want := int64(1<<20) / defaultParams().PageBytes
@@ -188,7 +189,7 @@ func TestPartialAccessOnlyMigratesTouchedPages(t *testing.T) {
 }
 
 func TestBadParamsAndSizesPanic(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -211,7 +212,7 @@ func TestBadParamsAndSizesPanic(t *testing.T) {
 // manager's resident byte count equals the sum over ranges.
 func TestPropertyResidencyConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
-		r := newRig(len(ops)%2 == 0)
+		r := newRig([]ccmode.Mode{ccmode.TDXH100{}, ccmode.Off{}}[len(ops)%2])
 		ranges := []*Range{r.mgr.NewRange(1 << 20), r.mgr.NewRange(2 << 20), r.mgr.NewRange(512 << 10)}
 		ok := true
 		r.run(func(p *sim.Proc) {
@@ -238,7 +239,7 @@ func TestPropertyResidencyConservation(t *testing.T) {
 }
 
 func TestPrefetchToStreamsInFullBatches(t *testing.T) {
-	cc := newRig(true)
+	cc := newRig(ccmode.TDXH100{})
 	rng := cc.mgr.NewRange(8 << 20)
 	ccEnd := cc.run(func(p *sim.Proc) { rng.PrefetchTo(p, 8<<20) })
 	if rng.ResidentPages() != rng.Pages() {
@@ -246,7 +247,7 @@ func TestPrefetchToStreamsInFullBatches(t *testing.T) {
 	}
 
 	// Fault-driven CC migration of the same footprint is much slower.
-	cc2 := newRig(true)
+	cc2 := newRig(ccmode.TDXH100{})
 	rng2 := cc2.mgr.NewRange(8 << 20)
 	faultEnd := cc2.run(func(p *sim.Proc) { rng2.GPUAccess(p, 8<<20, false) })
 	if float64(faultEnd) < 3*float64(ccEnd) {
@@ -267,7 +268,7 @@ func TestPrefetchToStreamsInFullBatches(t *testing.T) {
 }
 
 func TestPrefetchReleasedPanics(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(1 << 20)
 	rng.Release()
 	r.eng.Spawn("t", func(p *sim.Proc) {
@@ -282,7 +283,7 @@ func TestPrefetchReleasedPanics(t *testing.T) {
 }
 
 func TestAccessorsAndString(t *testing.T) {
-	r := newRig(false)
+	r := newRig(ccmode.Off{})
 	rng := r.mgr.NewRange(3 << 20)
 	if rng.Size() != 3<<20 {
 		t.Fatalf("Size = %d", rng.Size())

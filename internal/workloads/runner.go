@@ -12,14 +12,14 @@ type Result struct {
 	Mode Mode
 	// CCMode is the canonical name of the resolved protection mode.
 	CCMode  string
-	CC      bool
 	Runtime *cuda.Runtime
 	End     sim.Time
 }
 
 // Execute runs the application on a fresh simulated system and returns the
-// runtime (with its trace) for analysis. cfg is usually
-// cuda.DefaultConfig(cc); pass a modified config for sweeps.
+// runtime (with its trace) for analysis. cfg is usually cuda.NewConfig's
+// Table I system under one protection mode; pass a modified config for
+// sweeps.
 func Execute(spec Spec, mode Mode, cfg cuda.Config) Result {
 	return ExecuteObserved(spec, mode, cfg, nil)
 }
@@ -45,14 +45,7 @@ func ExecuteObserved(spec Spec, mode Mode, cfg cuda.Config, o *obs.Observer) Res
 	}
 	return Result{
 		Spec: spec, Mode: mode,
-		CCMode: rt.Mode().Name(), CC: rt.CC(),
+		CCMode:  rt.Mode().Name(),
 		Runtime: rt, End: end,
 	}
-}
-
-// Pair runs the same application CC-off and CC-on with default configs —
-// the basic comparison unit of Figs. 5-10.
-func Pair(spec Spec, mode Mode) (base, cc Result) {
-	return Execute(spec, mode, cuda.DefaultConfig(false)),
-		Execute(spec, mode, cuda.DefaultConfig(true))
 }

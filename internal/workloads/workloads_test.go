@@ -52,6 +52,22 @@ func TestPaperLaunchCounts(t *testing.T) {
 	}
 }
 
+// config is the Table I system under the named protection mode.
+func config(t *testing.T, mode string) cuda.Config {
+	t.Helper()
+	cfg, err := cuda.NewConfig(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// pair runs the same application CC-off and CC-on, the basic comparison
+// unit of Figs. 5-10.
+func pair(t *testing.T, s Spec, mode Mode) (base, cc Result) {
+	return Execute(s, mode, config(t, "off")), Execute(s, mode, config(t, "tdx-h100"))
+}
+
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("expected error for unknown app")
@@ -63,7 +79,7 @@ func TestByNameUnknown(t *testing.T) {
 
 func TestExecuteProducesConsistentTrace(t *testing.T) {
 	s, _ := ByName("2mm")
-	res := Execute(s, CopyExecute, cuda.DefaultConfig(false))
+	res := Execute(s, CopyExecute, config(t, "off"))
 	tr := res.Runtime.Tracer()
 	if got := len(tr.OfKind(trace.KindLaunch)); got != 2 {
 		t.Fatalf("2mm ran %d launches", got)
@@ -88,7 +104,7 @@ func TestEveryAppRunsBothModesAndLeaksNothing(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			res := Execute(s, CopyExecute, cuda.DefaultConfig(false))
+			res := Execute(s, CopyExecute, config(t, "off"))
 			if res.End <= 0 {
 				t.Fatalf("%s: zero runtime", s.Name)
 			}
@@ -96,7 +112,7 @@ func TestEveryAppRunsBothModesAndLeaksNothing(t *testing.T) {
 				t.Fatalf("%s: leaked %d device bytes", s.Name, used)
 			}
 			if s.UVMCapable {
-				resU := Execute(s, UVM, cuda.DefaultConfig(false))
+				resU := Execute(s, UVM, config(t, "off"))
 				if resU.End <= 0 {
 					t.Fatalf("%s/uvm: zero runtime", s.Name)
 				}
@@ -108,7 +124,7 @@ func TestEveryAppRunsBothModesAndLeaksNothing(t *testing.T) {
 func TestCCAlwaysSlowerEndToEnd(t *testing.T) {
 	for _, name := range []string{"2dconv", "2mm", "sc", "bfs"} {
 		s, _ := ByName(name)
-		base, cc := Pair(s, CopyExecute)
+		base, cc := pair(t, s, CopyExecute)
 		if cc.End <= base.End {
 			t.Errorf("%s: CC (%v) not slower than base (%v)", name, cc.End, base.End)
 		}
@@ -118,11 +134,11 @@ func TestCCAlwaysSlowerEndToEnd(t *testing.T) {
 func TestLaunchBoundVsComputeBoundClassification(t *testing.T) {
 	// sc is the paper's launch-bound example (low KLR); gemm is compute-bound.
 	scSpec, _ := ByName("sc")
-	res := Execute(scSpec, CopyExecute, cuda.DefaultConfig(true))
+	res := Execute(scSpec, CopyExecute, config(t, "tdx-h100"))
 	mSC := core.Decompose(res.Runtime.Tracer())
 
 	gemmSpec, _ := ByName("gemm")
-	res2 := Execute(gemmSpec, CopyExecute, cuda.DefaultConfig(true))
+	res2 := Execute(gemmSpec, CopyExecute, config(t, "tdx-h100"))
 	mGemm := core.Decompose(res2.Runtime.Tracer())
 
 	if mSC.KLR() >= mGemm.KLR() {
@@ -132,7 +148,7 @@ func TestLaunchBoundVsComputeBoundClassification(t *testing.T) {
 
 func TestUVMModeUsesManagedAllocations(t *testing.T) {
 	s, _ := ByName("bfs")
-	res := Execute(s, UVM, cuda.DefaultConfig(false))
+	res := Execute(s, UVM, config(t, "off"))
 	tr := res.Runtime.Tracer()
 	managed := 0
 	for _, e := range tr.OfKind(trace.KindAlloc) {
@@ -154,7 +170,7 @@ func TestUVMModeUsesManagedAllocations(t *testing.T) {
 func TestNonUVMKETUnchangedUnderCC(t *testing.T) {
 	// Observation 5: non-UVM kernel execution time is CC-invariant.
 	s, _ := ByName("gemm")
-	base, cc := Pair(s, CopyExecute)
+	base, cc := pair(t, s, CopyExecute)
 	kb := base.Runtime.Metrics().KET
 	kc := cc.Runtime.Metrics().KET
 	if kb != kc {
@@ -164,7 +180,7 @@ func TestNonUVMKETUnchangedUnderCC(t *testing.T) {
 
 func TestUVMKETInflatedUnderCC(t *testing.T) {
 	s, _ := ByName("2dconv")
-	base, cc := Pair(s, UVM)
+	base, cc := pair(t, s, UVM)
 	kb := base.Runtime.Metrics().KET
 	kc := cc.Runtime.Metrics().KET
 	if ratio := float64(kc) / float64(kb); ratio < 5 {
@@ -215,7 +231,7 @@ func TestEventCountsStable(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			res := Execute(s, CopyExecute, cuda.DefaultConfig(false))
+			res := Execute(s, CopyExecute, config(t, "off"))
 			tr := res.Runtime.Tracer()
 			if got := len(tr.OfKind(trace.KindLaunch)); got != s.Launches() {
 				t.Errorf("launches = %d, spec says %d", got, s.Launches())
