@@ -121,11 +121,17 @@ func engineScheduleFire() Metric {
 }
 
 // procContextSwitch measures the process resume round trip (schedule,
-// handoff, yield) through repeated 1 ns sleeps.
+// handoff, yield) through repeated 1 ns sleeps. A lone sleeper would
+// advance the clock inline without yielding (Proc.Sleep's fast path), so a
+// partner process sleeps in lockstep: each sleep then finds the other's
+// same-time wake pending and takes a real channel round trip. It panics if
+// any sleep still completes inline, since the metric would then stop
+// measuring a handoff.
 func procContextSwitch() Metric {
 	const n = 300000
 	e := sim.NewEngine()
 	var elapsed float64
+	stop := false
 	e.Spawn("switcher", func(p *sim.Proc) {
 		for i := 0; i < 1000; i++ { // warm-up
 			p.Sleep(time.Nanosecond)
@@ -135,11 +141,20 @@ func procContextSwitch() Metric {
 			p.Sleep(time.Nanosecond)
 		}
 		elapsed = time.Since(start).Seconds()
+		stop = true
+	})
+	e.Spawn("partner", func(p *sim.Proc) {
+		for !stop {
+			p.Sleep(time.Nanosecond)
+		}
 	})
 	e.Run()
+	if st := e.Stats(); st.InlineSleeps != 0 {
+		panic(fmt.Sprintf("bench: proc_context_switch slept inline %d times", st.InlineSleeps))
+	}
 	return Metric{
 		Name:   "proc_context_switch",
-		Value:  n / elapsed,
+		Value:  2 * n / elapsed, // both processes switch once per timed iteration
 		Unit:   "switches/sec",
 		Better: HigherIsBetter,
 	}
@@ -349,6 +364,7 @@ func figureCampaign(parallel int) ([]Metric, map[string]uint64, error) {
 		"events_fired":   gs.Fired,
 		"events_sched":   gs.Scheduled,
 		"handoffs":       gs.Handoffs,
+		"inline_sleeps":  gs.InlineSleeps,
 		"actor_steps":    gs.ActorSteps,
 		"allocs_avoided": gs.AllocsAvoided,
 	}

@@ -4,9 +4,10 @@ package sim
 // the engine's two process models (DESIGN.md §12):
 //
 //   - A Proc is a goroutine-based coroutine: straight-line Go code that
-//     blocks in Sleep/Acquire/Get/Wait. Every resume costs two channel
-//     operations and two goroutine context switches (Engine.handoff /
-//     Proc.yield).
+//     blocks in Sleep/Acquire/Get/Wait. Every resume that yields costs two
+//     channel operations and two goroutine context switches
+//     (Engine.handoff / Proc.yield); only a Sleep that nothing can run
+//     ahead of advances the clock inline instead.
 //   - An Actor is a callback state machine: blocking points are spelled as
 //     continuations — Sleep(d, step, state), Resource.AcquireA, Queue.GetA,
 //     Signal.WaitA — and every step fires *inline* in the engine's dispatch

@@ -41,7 +41,9 @@ func BenchmarkEngineScheduleFireDepth256(b *testing.B) {
 }
 
 // BenchmarkQueuePutGet measures the producer/consumer round trip through a
-// typed command queue, including the process context switches.
+// typed command queue, including the process context switches. Each Put
+// schedules the consumer's wake at the current time, so the producer's
+// 1 ns pacing sleep always yields rather than advancing the clock inline.
 func BenchmarkQueuePutGet(b *testing.B) {
 	type cmd struct {
 		kind  int
@@ -63,6 +65,9 @@ func BenchmarkQueuePutGet(b *testing.B) {
 		}
 	})
 	e.Run()
+	if st := e.Stats(); st.InlineSleeps != 0 {
+		b.Fatalf("%d pacing sleeps completed inline; the benchmark no longer measures context switches", st.InlineSleeps)
+	}
 }
 
 // BenchmarkQueuePutTryGet isolates the queue data structure itself (no

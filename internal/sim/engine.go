@@ -24,6 +24,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -68,11 +69,19 @@ type Stats struct {
 	Fired uint64
 	// Scheduled counts enqueued events.
 	Scheduled uint64
-	// Handoffs counts engine->process control transfers, each one a
-	// channel round trip plus two goroutine switches — the irreducible
-	// cost of goroutine-based coroutines, and exactly what the actor
-	// runtime's inline steps avoid.
+	// Handoffs counts engine->process resumes. It is a logical count: a
+	// Proc.Sleep that advances the clock inline (InlineSleeps) still counts
+	// the wake event it would have scheduled, fired and handed off, so
+	// Fired, Scheduled and Handoffs describe the simulation, not how the
+	// host ran it. Handoffs minus InlineSleeps is the number of channel
+	// round trips, each two goroutine switches — the cost of
+	// goroutine-based coroutines that the actor runtime's inline steps
+	// avoid.
 	Handoffs uint64
+	// InlineSleeps counts Proc.Sleep calls that advanced the clock without
+	// yielding, because nothing else could run first (DESIGN.md §8). It is
+	// a physical count of host work saved and is never published to obs.
+	InlineSleeps uint64
 	// ActorSteps counts actor continuation steps fired inline in the
 	// engine loop — resumes that cost no channel operation and no
 	// goroutine switch.
@@ -94,9 +103,12 @@ type Engine struct {
 	actors   int           // non-daemon actors spawned and not yet Done
 	blocked  int           // processes currently waiting on something
 	running  bool
+	deadline Time // latest instant the running Run/RunUntil may reach
+	nested   bool // a process runs inside an actor step (finishAwait)
 	fired    uint64
 	sched    uint64
 	handoffs uint64
+	inline   uint64
 	steps    uint64
 	flushed  Stats // counters already published to the global aggregates
 
@@ -127,6 +139,7 @@ func (e *Engine) Stats() Stats {
 		Fired:         e.fired,
 		Scheduled:     e.sched,
 		Handoffs:      e.handoffs,
+		InlineSleeps:  e.inline,
 		ActorSteps:    e.steps,
 		AllocsAvoided: e.queue.Reused(),
 		HeapMaxDepth:  e.queue.MaxDepth(),
@@ -188,6 +201,7 @@ func (e *Engine) Run() Time {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
+	e.deadline = math.MaxInt64
 	defer func() {
 		e.running = false
 		e.flushGlobal()
@@ -208,6 +222,7 @@ func (e *Engine) Run() Time {
 // RunUntil panics with the same deadlock report as Run.
 func (e *Engine) RunUntil(deadline Time) Time {
 	defer e.flushGlobal()
+	e.deadline = deadline
 	for {
 		at, ok := e.queue.MinAt()
 		if !ok || Time(at) > deadline {

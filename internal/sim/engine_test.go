@@ -394,10 +394,12 @@ func TestEngineStats(t *testing.T) {
 
 // The engine's steady-state hot path must not allocate: schedule/fire with
 // a warm arena reuses free-list slots, and direct process resumes carry no
-// closures.
+// closures. A pacer keeps every tick on the resume path rather than the
+// inline-sleep one.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	done := false
+	spawnPacer(e, &done)
 	e.Spawn("ticker", func(p *Proc) {
 		// Warm up the arena and backing arrays.
 		for i := 0; i < 100; i++ {
@@ -412,6 +414,9 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e.Run()
 	if !done {
 		t.Fatal("ticker never ran")
+	}
+	if st := e.Stats(); st.InlineSleeps != 0 {
+		t.Fatalf("%d sleeps completed inline; the resume path went unmeasured", st.InlineSleeps)
 	}
 }
 
@@ -510,15 +515,24 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkProcContextSwitch measures one process resume round trip per
+// op: a switcher and a pacer sleep 1 ns in lockstep, so every sleep finds
+// the other's same-time wake pending and yields.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
+	stop := false
 	e.Spawn("switcher", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < b.N; i += 2 { // the pacer switches once per loop too
 			p.Sleep(time.Nanosecond)
 		}
+		stop = true
 	})
+	spawnPacer(e, &stop)
 	b.ResetTimer()
 	e.Run()
+	if st := e.Stats(); st.InlineSleeps != 0 {
+		b.Fatalf("%d sleeps completed inline; the benchmark no longer measures context switches", st.InlineSleeps)
+	}
 }
 
 func TestAccessorsAndDaemons(t *testing.T) {

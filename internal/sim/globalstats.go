@@ -12,6 +12,7 @@ var (
 	gFired    atomic.Uint64
 	gSched    atomic.Uint64
 	gHandoffs atomic.Uint64
+	gInline   atomic.Uint64
 	gSteps    atomic.Uint64
 	gReused   atomic.Uint64
 )
@@ -24,6 +25,7 @@ func GlobalStats() Stats {
 		Fired:         gFired.Load(),
 		Scheduled:     gSched.Load(),
 		Handoffs:      gHandoffs.Load(),
+		InlineSleeps:  gInline.Load(),
 		ActorSteps:    gSteps.Load(),
 		AllocsAvoided: gReused.Load(),
 	}
@@ -37,6 +39,7 @@ func ResetGlobalStats() {
 	gFired.Store(0)
 	gSched.Store(0)
 	gHandoffs.Store(0)
+	gInline.Store(0)
 	gSteps.Store(0)
 	gReused.Store(0)
 }
@@ -48,6 +51,7 @@ func (e *Engine) flushGlobal() {
 	gFired.Add(st.Fired - e.flushed.Fired)
 	gSched.Add(st.Scheduled - e.flushed.Scheduled)
 	gHandoffs.Add(st.Handoffs - e.flushed.Handoffs)
+	gInline.Add(st.InlineSleeps - e.flushed.InlineSleeps)
 	gSteps.Add(st.ActorSteps - e.flushed.ActorSteps)
 	gReused.Add(st.AllocsAvoided - e.flushed.AllocsAvoided)
 	e.flushed = st

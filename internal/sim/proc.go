@@ -109,12 +109,31 @@ func (p *Proc) wakeAt(d Duration) {
 	p.eng.scheduleProc(p.eng.now.Add(d), p)
 }
 
-// Sleep suspends the process for d of simulated time. Sleeping for a
-// non-positive duration still yields through the event queue, so Sleep(0)
-// lets already-scheduled same-time events run first.
+// Sleep suspends the process for d of simulated time; a negative d sleeps
+// for zero. The wake rides the event queue, so Sleep(0) lets
+// already-scheduled same-time events run first.
+//
+// When the wake event would be the very next one dispatched — no event is
+// due at or before now+d, the running Run/RunUntil may reach now+d, and the
+// process was resumed straight from the engine loop rather than from inside
+// an actor step — Sleep advances the clock itself and returns without the
+// channel round trip. Ties break by insertion sequence, so a pending event
+// at exactly now+d runs first and the process still yields. The wake
+// event's logical counters are kept (see Stats.Handoffs).
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
+	}
+	e := p.eng
+	if at := e.now.Add(d); at <= e.deadline && !e.nested {
+		if next, ok := e.queue.MinAt(); !ok || Time(next) > at {
+			e.sched++
+			e.fired++
+			e.handoffs++
+			e.inline++
+			e.now = at
+			return
+		}
 	}
 	p.wakeAt(d)
 	p.yield()
@@ -161,7 +180,13 @@ func finishAwait(x any) {
 	case awaitRunning:
 		p.await = awaitDoneSync
 	case awaitBlocked:
-		p.eng.handoff(p)
+		// The rest of the calling step runs once p yields, at the clock p
+		// leaves behind, so p must not advance the clock inline meanwhile.
+		e := p.eng
+		nested := e.nested
+		e.nested = true
+		e.handoff(p)
+		e.nested = nested
 	default:
 		panic(fmt.Sprintf("sim: Await completion delivered twice to process %q", p.name))
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -307,5 +308,125 @@ func TestUtilization(t *testing.T) {
 	}
 	if (New()).Utilize() != (Utilization{}) {
 		t.Fatal("empty trace utilization not zero")
+	}
+}
+
+// overlapWithQuadratic is the reference launch-gap coverage: it rescans
+// every busy event for every gap, O(launches × busy).
+func overlapWithQuadratic(busy []Event, start, end sim.Time, skipA, skipB int) time.Duration {
+	var covered time.Duration
+	cursor := start
+	for _, e := range busy {
+		if e.Seq == skipA || e.Seq == skipB {
+			continue
+		}
+		if e.End <= cursor || e.Start >= end {
+			continue
+		}
+		s := e.Start
+		if s < cursor {
+			s = cursor
+		}
+		f := e.End
+		if f > end {
+			f = end
+		}
+		if f > s {
+			covered += f.Sub(s)
+			cursor = f
+		}
+	}
+	return covered
+}
+
+// lqtQuadratic is the reference LQT: Analyze's gap loop over the full busy
+// list with the quadratic coverage scan.
+func lqtQuadratic(events []Event) time.Duration {
+	var launches, busy []Event
+	for _, e := range events {
+		switch e.Kind {
+		case KindLaunch:
+			launches = append(launches, e)
+			busy = append(busy, e)
+		case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D, KindAlloc, KindFree, KindSync:
+			busy = append(busy, e)
+		}
+	}
+	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
+	sort.Slice(busy, func(i, j int) bool { return busy[i].Start < busy[j].Start })
+	var lqt time.Duration
+	for i := 1; i < len(launches); i++ {
+		gapStart, gapEnd := launches[i-1].End, launches[i].Start
+		if gapEnd <= gapStart {
+			continue
+		}
+		if gap := gapEnd.Sub(gapStart) - overlapWithQuadratic(busy, gapStart, gapEnd, launches[i].Seq, launches[i-1].Seq); gap > 0 {
+			lqt += gap
+		}
+	}
+	return lqt
+}
+
+// randomHostTrace records n events of mixed kinds on a coarse time grid, so
+// the trace has overlapping launches, equal starts, zero-length events, and
+// busy events long enough to span several launch gaps.
+func randomHostTrace(rng *rand.Rand, n int) *Tracer {
+	kinds := []Kind{KindLaunch, KindLaunch, KindLaunch, KindMemcpyH2D, KindMemcpyD2H,
+		KindMemcpyD2D, KindAlloc, KindFree, KindSync, KindKernel}
+	tr := New()
+	for i := 0; i < n; i++ {
+		start := int64(rng.Intn(4*n)) * 5
+		var dur int64
+		switch rng.Intn(4) {
+		case 0: // zero-length
+		case 1:
+			dur = int64(rng.Intn(20*n)) * 5 // spans many gaps
+		default:
+			dur = int64(rng.Intn(8)) * 5
+		}
+		tr.Record(Event{Kind: kinds[rng.Intn(len(kinds))], Start: sim.Time(start), End: sim.Time(start + dur)})
+	}
+	return tr
+}
+
+// Property: the indexed launch-gap scan gives the reference LQT exactly.
+func TestPropertyLQTMatchesQuadratic(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomHostTrace(rng, int(n%60)+1)
+		got, want := tr.Analyze().LQT, lqtQuadratic(tr.Events())
+		if got != want {
+			t.Logf("seed %d, %d events: LQT = %v, reference %v", seed, len(tr.Events()), got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkAnalyze decomposes a 10k-launch trace shaped like a CUDA host
+// thread: each launch is followed by its kernel, with an occasional copy
+// or sync in the gap before the next launch.
+func BenchmarkAnalyze(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tr := New()
+	var now int64
+	for i := 0; i < 10000; i++ {
+		seq := tr.NextSeq()
+		lEnd := now + 2000 + int64(rng.Intn(500))
+		tr.Record(ev(KindLaunch, now, lEnd, seq))
+		tr.Record(ev(KindKernel, lEnd+100, lEnd+100+int64(rng.Intn(20000)), seq))
+		now = lEnd + int64(rng.Intn(1000))
+		if rng.Intn(4) == 0 {
+			k := []Kind{KindMemcpyH2D, KindMemcpyD2H, KindSync}[rng.Intn(3)]
+			end := now + int64(rng.Intn(5000))
+			tr.Record(ev(k, now, end, 0))
+			now = end + int64(rng.Intn(300))
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		tr.Analyze()
 	}
 }
