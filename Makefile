@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-fix golden check bench bench-baseline bench-check report sweep-demo clean
+.PHONY: all build test race vet fmt-check lint lint-fix golden alloc-bound check bench bench-baseline bench-check report sweep-demo clean
 
 all: check
 
@@ -44,7 +44,12 @@ golden:
 	$(GO) test ./internal/figures -run 'Golden|ModeSpelling' -count=1
 	$(GO) test . -run GoldenChromeTraces -count=1
 
-check: fmt-check vet lint golden race
+# Allocation bounds skip under the race detector, which instruments every
+# allocation, so check runs them once without it.
+alloc-bound:
+	$(GO) test ./internal/serve -run AllocationBound -count=1
+
+check: fmt-check vet lint golden alloc-bound race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -117,10 +117,13 @@ type System struct {
 	ran bool
 }
 
-// NewSystem builds a system from the config.
+// NewSystem builds a system from the config, recording its event trace for
+// Metrics, Model and Tracer.
 func NewSystem(cfg Config) *System {
 	eng := sim.NewEngine()
-	return &System{eng: eng, rt: cuda.New(eng, cfg)}
+	rt := cuda.New(eng, cfg)
+	rt.SetTracer(trace.New())
+	return &System{eng: eng, rt: rt}
 }
 
 // CC reports whether the system runs in confidential-computing mode.

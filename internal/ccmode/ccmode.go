@@ -79,6 +79,9 @@ type Port interface {
 	// tracing is off; modes open copy-path spans through it, paying one
 	// nil check when disabled.
 	Observer() *obs.Observer
+	// ChunkFrames returns the port owner's pool of copy-chain frames, so
+	// steady-state transfers allocate none.
+	ChunkFrames() *ChunkFrames
 
 	// The A-forms are the continuation-passing counterparts used by actor
 	// chains (run-to-completion tasks and Proc Await bridges): same costs
@@ -151,12 +154,16 @@ func chunks(bytes, chunk int64, fn func(n int64)) {
 	}
 }
 
+// ChunkFrames recycles the chunkFrames of one port owner's copy chains.
+// The zero value is an empty pool.
+type ChunkFrames struct{ pool sim.FramePool[chunkFrame] }
+
 // chunkFrame drives one continuation-passing copy or page-move chain. One
-// frame is allocated per Transfer/Migrate call — copies are orders of
-// magnitude rarer than engine events, so these are not pooled. The `one`
-// hook runs a single chunk of f.n bytes and must end in chunkNext; a
-// single-shot chain (Migrate) starts with off == bytes so chunkNext
-// completes after the one chunk already in flight.
+// frame is taken from the port's ChunkFrames per Transfer/Migrate call and
+// returned when the chain completes. The `one` hook runs a single chunk of
+// f.n bytes and must end in chunkNext; a single-shot chain (Migrate) starts
+// with off == bytes so chunkNext completes after the one chunk already in
+// flight.
 type chunkFrame struct {
 	port   Port
 	a      *sim.Actor
@@ -172,12 +179,22 @@ type chunkFrame struct {
 	state  any
 }
 
-// chunkNext starts the next chunk, or completes the chain.
+// newChunkFrame takes a frame from port's pool and fills it with init.
+func newChunkFrame(port Port, init chunkFrame) *chunkFrame {
+	f := port.ChunkFrames().pool.Get()
+	*f = init
+	return f
+}
+
+// chunkNext starts the next chunk, or completes the chain, recycling its
+// frame before the continuation runs.
 func chunkNext(x any) {
 	f := x.(*chunkFrame)
 	if f.off >= f.bytes {
 		f.sp.End()
-		f.step(f.state)
+		step, state := f.step, f.state
+		f.port.ChunkFrames().pool.Put(f)
+		step(state)
 		return
 	}
 	n := f.bytes - f.off

@@ -88,9 +88,10 @@ func TestPredicates(t *testing.T) {
 
 // opPort records the operation sequence a mode drives through a Port.
 type opPort struct {
-	eng *sim.Engine
-	ops []string
-	rec func(string)
+	eng    *sim.Engine
+	ops    []string
+	rec    func(string)
+	frames ChunkFrames
 }
 
 func newOpPort(eng *sim.Engine) *opPort {
@@ -101,6 +102,7 @@ func newOpPort(eng *sim.Engine) *opPort {
 
 func (pt *opPort) Engine() *sim.Engine                   { return pt.eng }
 func (pt *opPort) Observer() *obs.Observer               { return nil }
+func (pt *opPort) ChunkFrames() *ChunkFrames             { return &pt.frames }
 func (pt *opPort) Encrypt(p *sim.Proc, n int64)          { pt.rec("enc"); p.Sleep(time.Duration(n)) }
 func (pt *opPort) Decrypt(p *sim.Proc, n int64)          { pt.rec("dec"); p.Sleep(time.Duration(n)) }
 func (pt *opPort) BounceAcquire(p *sim.Proc, n int64)    { pt.rec("acq") }

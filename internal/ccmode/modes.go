@@ -53,9 +53,9 @@ func (m Off) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
 
 // TransferA implements Mode.
 func (m Off) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := &chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
+	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
 		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
-		one: directChunk, step: step, state: state}
+		one: directChunk, step: step, state: state})
 	chunkNext(f)
 	return false
 }
@@ -117,18 +117,18 @@ func (m TDXH100) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
 
 // TransferA implements Mode.
 func (m TDXH100) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := &chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
+	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
 		sp:  beginTransfer(port, m.Name(), dir, bytes),
-		one: tdxChunk, step: step, state: state}
+		one: tdxChunk, step: step, state: state})
 	chunkNext(f)
 	return pinned
 }
 
 // MigrateA implements Mode: one single-shot bounce+crypto+DMA chain.
 func (m TDXH100) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
-	f := &chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
+	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
 		n: bytes, sp: beginMigrate(port, m.Name(), dir, bytes),
-		step: step, state: state}
+		step: step, state: state})
 	tdxChunk(f)
 }
 
@@ -213,18 +213,18 @@ func (m TEEIODirect) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64)
 
 // TransferA implements Mode.
 func (m TEEIODirect) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := &chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
+	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
 		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
-		one: directChunk, step: step, state: state}
+		one: directChunk, step: step, state: state})
 	chunkNext(f)
 	return false
 }
 
 // MigrateA implements Mode: one single-shot IDE-crypto+DMA chain.
 func (m TEEIODirect) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
-	f := &chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
+	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
 		n: bytes, sp: beginMigrate(port, m.Name(), dir, bytes),
-		step: step, state: state}
+		step: step, state: state})
 	if dir == H2D {
 		f.port.EncryptA(f.a, f.n, teeioEncrypted, f)
 	} else {
@@ -296,9 +296,9 @@ func (m TEEIOBridge) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64)
 
 // TransferA implements Mode.
 func (m TEEIOBridge) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := &chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
+	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
 		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
-		one: bridgeChunk, step: step, state: state}
+		one: bridgeChunk, step: step, state: state})
 	chunkNext(f)
 	return false
 }

@@ -136,6 +136,7 @@ func TestDecomposeRealRun(t *testing.T) {
 		}
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, cfg)
+		rt.SetTracer(trace.New())
 		eng.Spawn("host", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			h := c.HostBuffer("h", 64<<20)

@@ -9,12 +9,13 @@ import (
 	"hccsim/internal/trace"
 )
 
-// run executes body as a host program on a fresh system and returns the
-// runtime for trace inspection.
+// run executes body as a host program on a fresh, traced system and
+// returns the runtime for trace inspection.
 func run(t *testing.T, mode string, body func(c *Context)) *Runtime {
 	t.Helper()
 	eng := sim.NewEngine()
 	rt := New(eng, config(t, mode))
+	rt.SetTracer(trace.New())
 	eng.Spawn("host", func(p *sim.Proc) {
 		body(rt.Bind(p))
 	})

@@ -40,7 +40,8 @@ func (rt *Runtime) AddDevice(pcieParams pcie.Params, hbmParams hbm.Params, gpuPa
 	link := pcie.NewLink(rt.eng, pcieParams)
 	mem := hbm.NewAllocator(hbmParams)
 	mgr := uvm.NewManager(rt.eng, rt.pl, link, rt.uvmParams)
-	dev := gpu.New(rt.eng, rt.pl, link, mem, mgr, rt.tracer, gpuParams)
+	dev := gpu.New(rt.eng, rt.pl, link, mem, mgr, gpuParams)
+	dev.SetTracer(rt.tracer)
 	rt.secondary = append(rt.secondary, secondaryDevice{dev: dev, link: link})
 	return len(rt.secondary) // ids 1..n
 }

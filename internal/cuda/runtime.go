@@ -1,9 +1,16 @@
 // Package cuda implements a CUDA-like runtime API over the simulated
 // system: memory management, synchronous and asynchronous copies, kernel
 // launches, streams, and graphs. Workloads are written against this API
-// exactly as a CUDA application would be, and every call both advances the
-// simulated clock through the mechanisms of the layer below and records
-// Nsight-style trace events.
+// exactly as a CUDA application would be, and every call advances the
+// simulated clock through the mechanisms of the layer below.
+//
+// Recording the Nsight-style event trace (internal/trace) is opt-in: New
+// attaches no recorder, and a run that reads KLO/LQT/KQT/KET or raw events
+// attaches one with SetTracer before it starts. workloads.Execute (and so
+// the batch runner and every figure built on it), hccsim.NewSystem and the
+// figure microbenchmarks that analyze their trace do; the nn training and
+// inference runtimes, the serving scheduler and its cost calibration do
+// not, so their memory does not grow with simulated work.
 package cuda
 
 import (
@@ -27,7 +34,7 @@ type Runtime struct {
 	link      *pcie.Link
 	dev       *gpu.Device
 	mode      ccmode.Mode
-	tracer    *trace.Tracer
+	tracer    *trace.Tracer // nil records nothing (SetTracer)
 	params    Params
 	uvmParams uvm.Params
 
@@ -68,15 +75,25 @@ func New(eng *sim.Engine, cfg Config) *Runtime {
 	pl := tdx.NewPlatform(eng, mode, cfg.TDX)
 	link := pcie.NewLink(eng, cfg.PCIe)
 	mem := hbm.NewAllocator(cfg.HBM)
-	tracer := trace.New()
 	mgr := uvm.NewManager(eng, pl, link, cfg.UVM)
-	mgr.SetTracer(tracer)
-	dev := gpu.New(eng, pl, link, mem, mgr, tracer, cfg.GPU)
+	dev := gpu.New(eng, pl, link, mem, mgr, cfg.GPU)
 	return &Runtime{
-		eng: eng, pl: pl, link: link, dev: dev, mode: mode, tracer: tracer,
+		eng: eng, pl: pl, link: link, dev: dev, mode: mode,
 		params:     cfg.Host,
 		uvmParams:  cfg.UVM,
 		moduleSeen: make(map[string]bool),
+	}
+}
+
+// SetTracer attaches the event recorder to the runtime and every device
+// below it — the primary GPU, its UVM manager and any secondary GPUs,
+// including ones added later. Attach it before the run starts: events of
+// earlier calls are not recorded.
+func (rt *Runtime) SetTracer(t *trace.Tracer) {
+	rt.tracer = t
+	rt.dev.SetTracer(t)
+	for _, s := range rt.secondary {
+		s.dev.SetTracer(t)
 	}
 }
 
@@ -139,8 +156,14 @@ func (rt *Runtime) PublishMetrics() {
 // Engine returns the simulation engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
-// Tracer returns the event recorder.
-func (rt *Runtime) Tracer() *trace.Tracer { return rt.tracer }
+// Tracer returns the event recorder. It panics when none was attached with
+// SetTracer: an unrecorded run would otherwise decompose to zeros.
+func (rt *Runtime) Tracer() *trace.Tracer {
+	if rt.tracer == nil {
+		panic("cuda: Tracer/Metrics on a runtime without a recorder; attach one with SetTracer before the run")
+	}
+	return rt.tracer
+}
 
 // Platform returns the CPU-TEE substrate.
 func (rt *Runtime) Platform() *tdx.Platform { return rt.pl }
@@ -271,8 +294,9 @@ func (c *Context) Sync() {
 // allStreams returns every stream the context has created.
 func (c *Context) allStreams() []*Stream { return c.streams }
 
-// Metrics analyzes the trace so far.
-func (rt *Runtime) Metrics() trace.Metrics { return rt.tracer.Analyze() }
+// Metrics analyzes the trace so far. Like Tracer, it panics when no
+// recorder was attached.
+func (rt *Runtime) Metrics() trace.Metrics { return rt.Tracer().Analyze() }
 
 // String describes the runtime configuration.
 func (rt *Runtime) String() string {

@@ -10,6 +10,7 @@ import (
 	"hccsim/internal/pcie"
 	"hccsim/internal/platform"
 	"hccsim/internal/sim"
+	"hccsim/internal/trace"
 	"hccsim/internal/units"
 	"hccsim/internal/workloads"
 )
@@ -208,6 +209,7 @@ func ExtPrefetch() Table {
 	run := func(mode string, prefetch bool) (ket, total time.Duration) {
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, modeConfig(mode))
+		rt.SetTracer(trace.New())
 		eng.Spawn("pf", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			m := c.MallocManaged("m", footprint)

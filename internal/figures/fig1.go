@@ -8,6 +8,7 @@ import (
 	"hccsim/internal/cuda"
 	"hccsim/internal/gpu"
 	"hccsim/internal/sim"
+	"hccsim/internal/trace"
 )
 
 // Fig01Overview reproduces the paper's Fig. 1: the same end-to-end
@@ -58,6 +59,7 @@ func Fig01Overview() Table {
 	for _, s := range settings {
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, modeConfig(s.mode))
+		rt.SetTracer(trace.New())
 		eng.Spawn("fig1", func(p *sim.Proc) { s.app(rt.Bind(p)) })
 		end := eng.Run()
 		m := rt.Metrics()

@@ -236,6 +236,7 @@ func Fig12aLaunchSeries() Table {
 	series := func(mode string) []time.Duration {
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, modeConfig(mode))
+		rt.SetTracer(trace.New())
 		eng.Spawn("micro", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			c.Malloc("warm", 1<<20) // context init outside the series

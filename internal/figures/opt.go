@@ -33,6 +33,7 @@ func Fig12bFusion() Table {
 	run := func(mode string, n int) (klo, lqt, total time.Duration) {
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, modeConfig(mode))
+		rt.SetTracer(trace.New())
 		eng.Spawn("fusion", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			c.Malloc("warm", 1<<20)
@@ -89,6 +90,7 @@ func Fig12cOverlap() Table {
 	run := func(mode string, totalBytes int64, ket time.Duration, streams int) (time.Duration, float64) {
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, modeConfig(mode))
+		rt.SetTracer(trace.New())
 		var total time.Duration
 		eng.Spawn("overlap", func(p *sim.Proc) {
 			c := rt.Bind(p)

@@ -184,6 +184,7 @@ func managedAllocTimes() (allocRatio, freeRatio float64) {
 	measure := func(mode string) (alloc, free time.Duration) {
 		eng := sim.NewEngine()
 		rt := cuda.New(eng, modeConfig(mode))
+		rt.SetTracer(trace.New())
 		eng.Spawn("m", func(p *sim.Proc) {
 			c := rt.Bind(p)
 			c.Malloc("warm", 1<<20) // absorb context init

@@ -99,10 +99,10 @@ type Device struct {
 	pl     *tdx.Platform
 	link   *pcie.Link
 	mode   ccmode.Mode
-	port   tdx.Port
+	port   ccmode.Port // boxed once, so copies do not allocate per call
 	mem    *hbm.Allocator
 	uvm    *uvm.Manager
-	tracer *trace.Tracer
+	tracer *trace.Tracer // nil records nothing (SetTracer)
 	params Params
 
 	cmdproc  *sim.Resource // serializes command dispatch across channels
@@ -115,11 +115,11 @@ type Device struct {
 	kernelsRun uint64
 }
 
-// New creates a device on the given substrates. The tracer may be nil.
-// It panics on non-positive SM or chunk-size params, which have no
-// physical meaning.
+// New creates a device on the given substrates, recording no trace events
+// until SetTracer. It panics on non-positive SM or chunk-size params, which
+// have no physical meaning.
 func New(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, mem *hbm.Allocator,
-	uvmMgr *uvm.Manager, tracer *trace.Tracer, params Params) *Device {
+	uvmMgr *uvm.Manager, params Params) *Device {
 	if params.SMs <= 0 || params.ChunkBytes <= 0 {
 		panic("gpu: invalid params")
 	}
@@ -128,13 +128,21 @@ func New(eng *sim.Engine, pl *tdx.Platform, link *pcie.Link, mem *hbm.Allocator,
 		conc = 1
 	}
 	return &Device{
-		eng: eng, pl: pl, link: link, mem: mem, uvm: uvmMgr, tracer: tracer,
+		eng: eng, pl: pl, link: link, mem: mem, uvm: uvmMgr,
 		mode:    pl.Mode(),
 		port:    tdx.NewPort(pl, link),
 		params:  params,
 		cmdproc: sim.NewResource(eng, 1).SetLabel("gpu-cmdproc"),
 		compute: sim.NewResource(eng, conc).SetLabel("gpu-compute"),
 	}
+}
+
+// SetTracer attaches the event recorder to the device and its UVM manager;
+// kernels, async copies and fault batches completing afterwards are
+// recorded. A nil tracer records nothing.
+func (d *Device) SetTracer(t *trace.Tracer) {
+	d.tracer = t
+	d.uvm.SetTracer(t)
 }
 
 // SetObserver attaches the observability layer; channels created before
@@ -368,12 +376,10 @@ func kernelDone(x any) {
 	ch.sp.End()
 	d.compute.Release()
 	d.kernelsRun++
-	if d.tracer != nil {
-		d.tracer.Record(trace.Event{
-			Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
-			Start: ch.start, End: ch.a.Now(), Seq: c.seq,
-		})
-	}
+	d.tracer.Record(trace.Event{
+		Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
+		Start: ch.start, End: ch.a.Now(), Seq: c.seq,
+	})
 	c.done.Fire()
 	chanNext(ch)
 }
@@ -395,17 +401,15 @@ func copyLanded(x any) {
 	c := ch.cc
 	ch.cc = copyCmd{}
 	ch.sp.End()
-	if d.tracer != nil {
-		kind := c.kind
-		if ch.managed {
-			// Nsight labels CC "pinned" transfers as managed D2D.
-			kind = trace.KindMemcpyD2D
-		}
-		d.tracer.Record(trace.Event{
-			Kind: kind, Name: "memcpyAsync", Stream: ch.id,
-			Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
-		})
+	kind := c.kind
+	if ch.managed {
+		// Nsight labels CC "pinned" transfers as managed D2D.
+		kind = trace.KindMemcpyD2D
 	}
+	d.tracer.Record(trace.Event{
+		Kind: kind, Name: "memcpyAsync", Stream: ch.id,
+		Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
+	})
 	c.done.Fire()
 	chanNext(ch)
 }

@@ -29,7 +29,8 @@ func newRig(mode ccmode.Mode) *rig {
 	mem := hbm.NewAllocator(hbmParams())
 	mgr := uvm.NewManager(eng, pl, link, uvmParams())
 	tr := trace.New()
-	dev := New(eng, pl, link, mem, mgr, tr, defaultParams())
+	dev := New(eng, pl, link, mem, mgr, defaultParams())
+	dev.SetTracer(tr)
 	return &rig{eng: eng, pl: pl, link: link, dev: dev, tracer: tr}
 }
 

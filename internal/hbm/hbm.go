@@ -9,6 +9,7 @@ package hbm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -182,14 +183,18 @@ func (a *Allocator) CheckInvariants() error {
 
 // SlotAllocator is the uniform-granule specialization of Allocator: every
 // allocation is exactly one granule. First-fit over same-size blocks always
-// takes the lowest free granule, so a min-heap of free slot indices returns
-// byte-identical offsets in O(log n) — where the general free list pays an
-// O(n) sorted insert per release, which dominated the serving scheduler's
-// KV churn. Accounting (used, peak, free) matches Allocator exactly.
+// takes the lowest free granule, so a two-level free bitmap returns
+// byte-identical offsets: a summary bit per bitmap word says whether the
+// word has a free slot, and two trailing-zero counts find the lowest one.
+// Release is two bit sets — where the general free list pays an O(n)
+// sorted insert, which dominated the serving scheduler's KV churn.
+// Accounting (used, peak, free) matches Allocator exactly.
 type SlotAllocator struct {
 	granule int64
-	free    []int32 // min-heap of free slot indices
-	live    []bool
+	slots   int
+	free    []uint64 // bit i%64 of free[i/64] is set while slot i is free
+	summary []uint64 // bit w%64 of summary[w/64] is set while free[w] != 0
+	nfree   int
 	used    int64
 	peak    int64
 }
@@ -200,10 +205,15 @@ func NewSlotAllocator(granule int64, slots int) *SlotAllocator {
 	if granule <= 0 || slots <= 0 {
 		panic("hbm: invalid slot allocator params")
 	}
-	a := &SlotAllocator{granule: granule, free: make([]int32, slots),
-		live: make([]bool, slots)}
-	for i := range a.free {
-		a.free[i] = int32(i) // ascending order is a valid min-heap
+	words := (slots + 63) / 64
+	a := &SlotAllocator{granule: granule, slots: slots, nfree: slots,
+		free: make([]uint64, words), summary: make([]uint64, (words+63)/64)}
+	for w := range a.free {
+		a.free[w] = ^uint64(0)
+		a.summary[w/64] |= 1 << (w % 64)
+	}
+	if tail := slots % 64; tail != 0 {
+		a.free[words-1] = 1<<tail - 1
 	}
 	return a
 }
@@ -217,69 +227,45 @@ func (a *SlotAllocator) Peak() int64 { return a.peak }
 // Free returns bytes currently free.
 //
 //hcclint:unit Bytes
-func (a *SlotAllocator) Free() int64 { return int64(len(a.free)) * a.granule }
+func (a *SlotAllocator) Free() int64 { return int64(a.nfree) * a.granule }
 
 // FreeSlots returns the number of free granules.
-func (a *SlotAllocator) FreeSlots() int { return len(a.free) }
+func (a *SlotAllocator) FreeSlots() int { return a.nfree }
 
 // TryAlloc reserves the lowest free granule; ok is false when the pool is
 // exhausted.
 func (a *SlotAllocator) TryAlloc() (off int64, ok bool) {
-	if len(a.free) == 0 {
-		return 0, false
+	for si, sw := range a.summary {
+		if sw == 0 {
+			continue
+		}
+		w := si*64 + bits.TrailingZeros64(sw)
+		b := bits.TrailingZeros64(a.free[w])
+		a.free[w] &^= 1 << b
+		if a.free[w] == 0 {
+			a.summary[si] &^= 1 << (w % 64)
+		}
+		a.nfree--
+		a.used += a.granule
+		if a.used > a.peak {
+			a.peak = a.used
+		}
+		return int64(w*64+b) * a.granule, true
 	}
-	slot := a.free[0]
-	last := len(a.free) - 1
-	a.free[0] = a.free[last]
-	a.free = a.free[:last]
-	a.siftDown(0)
-	a.live[slot] = true
-	a.used += a.granule
-	if a.used > a.peak {
-		a.peak = a.used
-	}
-	return int64(slot) * a.granule, true
+	return 0, false
 }
 
 // Release frees the granule at off. Like Allocator.Release it returns an
 // error on a double free or an offset that was never allocated.
 func (a *SlotAllocator) Release(off int64) error {
 	slot := off / a.granule
-	if off%a.granule != 0 || slot < 0 || slot >= int64(len(a.live)) || !a.live[slot] {
+	if off%a.granule != 0 || slot < 0 || slot >= int64(a.slots) || a.free[slot/64]&(1<<(slot%64)) != 0 {
 		return fmt.Errorf("hbm: release of unknown offset %#x", off)
 	}
-	a.live[slot] = false
+	w := slot / 64
+	a.free[w] |= 1 << (slot % 64)
+	a.summary[w/64] |= 1 << (w % 64)
+	a.nfree++
 	a.used -= a.granule
-	a.free = append(a.free, int32(slot))
-	a.siftUp(len(a.free) - 1)
 	return nil
-}
-
-func (a *SlotAllocator) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if a.free[parent] <= a.free[i] {
-			return
-		}
-		a.free[parent], a.free[i] = a.free[i], a.free[parent]
-		i = parent
-	}
-}
-
-func (a *SlotAllocator) siftDown(i int) {
-	n := len(a.free)
-	for {
-		min, l, r := i, 2*i+1, 2*i+2
-		if l < n && a.free[l] < a.free[min] {
-			min = l
-		}
-		if r < n && a.free[r] < a.free[min] {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		a.free[i], a.free[min] = a.free[min], a.free[i]
-		i = min
-	}
 }

@@ -244,3 +244,71 @@ func TestTryAllocMatchesAllocAndRefusesWithoutError(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlotAllocatorMatchesFirstFit drives a SlotAllocator and a first-fit
+// Allocator of the same granule and capacity through one seeded sequence of
+// allocations and releases: every offset, the accounting, exhaustion and
+// the release errors must agree. Slot counts straddle the 64-slot word and
+// 4096-slot summary-word boundaries.
+func TestSlotAllocatorMatchesFirstFit(t *testing.T) {
+	const granule = 1 << 10
+	for _, slots := range []int{1, 5, 63, 64, 65, 200, 4095, 4096, 4097, 5000} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(slots)))
+			s := NewSlotAllocator(granule, slots)
+			f := NewAllocator(Params{CapacityBytes: int64(slots) * granule, AlignBytes: granule})
+			var live []int64
+			check := func(step int) {
+				t.Helper()
+				if s.Used() != f.Used() || s.Peak() != f.Peak() || s.Free() != f.Free() {
+					t.Fatalf("slots=%d seed=%d step %d: slot used/peak/free %d/%d/%d, first-fit %d/%d/%d",
+						slots, seed, step, s.Used(), s.Peak(), s.Free(), f.Used(), f.Peak(), f.Free())
+				}
+				if s.FreeSlots()*granule != int(f.Free()) {
+					t.Fatalf("slots=%d seed=%d step %d: FreeSlots %d, first-fit free %d bytes",
+						slots, seed, step, s.FreeSlots(), f.Free())
+				}
+			}
+			for step := 0; step < 4*slots+200; step++ {
+				// Bias toward allocation early and release late, so the run
+				// fills the pool, churns at exhaustion, and drains.
+				allocP := 0.7
+				if step > 2*slots {
+					allocP = 0.3
+				}
+				if len(live) == 0 || rng.Float64() < allocP {
+					so, sok := s.TryAlloc()
+					fo, fok := f.TryAlloc(granule)
+					if so != fo || sok != fok {
+						t.Fatalf("slots=%d seed=%d step %d: slot alloc (%d,%v), first-fit (%d,%v)",
+							slots, seed, step, so, sok, fo, fok)
+					}
+					if sok {
+						live = append(live, so)
+					}
+				} else {
+					i := rng.Intn(len(live))
+					off := live[i]
+					live = append(live[:i], live[i+1:]...)
+					if err := s.Release(off); err != nil {
+						t.Fatalf("slots=%d seed=%d step %d: slot release: %v", slots, seed, step, err)
+					}
+					if err := f.Release(off); err != nil {
+						t.Fatalf("slots=%d seed=%d step %d: first-fit release: %v", slots, seed, step, err)
+					}
+					// A double free is an error in both.
+					if s.Release(off) == nil || f.Release(off) == nil {
+						t.Fatalf("slots=%d seed=%d step %d: double free of %d not rejected", slots, seed, step, off)
+					}
+				}
+				check(step)
+			}
+			for _, bad := range []int64{-granule, 1, granule / 2, int64(slots) * granule, int64(slots+7) * granule} {
+				if s.Release(bad) == nil || f.Release(bad) == nil {
+					t.Fatalf("slots=%d: release of unknown offset %d not rejected", slots, bad)
+				}
+			}
+			check(-1)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"time"
 
 	"hccsim/internal/cuda"
@@ -33,9 +34,10 @@ import (
 //     sampled ids D2H, prompt upload at prefill — small per step, but they
 //     ride the same contended link as swap traffic.
 //
-// schedule panics only on internal invariant violations (an unresolvable
-// mode after withDefaults normalized it, or a pool too small for a solo
-// sequence, which fitsEver already excluded).
+// schedule panics only on internal invariant violations: an unresolvable
+// mode after withDefaults normalized it, a pool too small for a solo
+// sequence (which fitsEver already excluded), or a drained run that still
+// holds KV blocks or lost track of a request.
 func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl []*request) Report {
 	backend, _ := nn.BackendByName(cfg.Backend)
 	mode, err := sys.ResolveMode()
@@ -130,6 +132,16 @@ func schedule(cfg Config, sys cuda.Config, quant nn.Quant, model *costModel, wl 
 	})
 	eng.Run()
 	lastDoneAt, tokensOut, batchSum := l.lastDoneAt, l.tokensOut, l.batchSum
+
+	// Conservation: a drained run has returned every KV block and
+	// accounted for every offered request.
+	if used := kv.usedBytes(); used != 0 {
+		panic(fmt.Sprintf("serve: %d KV bytes still allocated after the run drained", used))
+	}
+	if rep.Completed+rep.Rejected != len(wl) {
+		panic(fmt.Sprintf("serve: completed %d + rejected %d != offered %d after the run drained",
+			rep.Completed, rep.Rejected, len(wl)))
+	}
 
 	rep.Mode = cfg.Mode
 	rep.Platform = cfg.Platform
@@ -360,11 +372,7 @@ func schedPrefillIDsDown(x any) {
 		s.generated = 1
 		l.tokensOut++
 		if s.generated >= s.outputTokens {
-			s.doneAt = now
-			l.kv.release(s)
-			l.rep.Completed++
-			l.lastDoneAt = l.a.Now()
-			s.asp.End()
+			l.complete(s, now)
 		}
 	}
 	keep := l.running[:0]
@@ -376,6 +384,19 @@ func schedPrefillIDsDown(x any) {
 	l.running = keep
 	l.itsp.End()
 	schedAdmit(l)
+}
+
+// complete retires a finished request: its KV blocks go back to the pool
+// and its block array is dropped, so a long run holds no per-request KV
+// state for requests that are done (a preempted request keeps its array
+// for reuse on re-admission).
+func (l *schedLoop) complete(s *request, now simTime) {
+	s.doneAt = now
+	l.kv.release(s)
+	s.kvBlocks = nil
+	l.rep.Completed++
+	l.lastDoneAt = l.a.Now()
+	s.asp.End()
 }
 
 // schedDecodeGrow grows every running sequence's KV one token, preempting
@@ -450,11 +471,7 @@ func schedDecodeIDsDown(x any) {
 	for _, s := range l.running {
 		s.generated++
 		if s.generated >= s.outputTokens {
-			s.doneAt = now
-			l.kv.release(s)
-			l.rep.Completed++
-			l.lastDoneAt = l.a.Now()
-			s.asp.End()
+			l.complete(s, now)
 		} else {
 			keep = append(keep, s)
 		}

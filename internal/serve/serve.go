@@ -46,7 +46,8 @@ type SLO struct {
 	// TPOT is the per-output-token target (decode-phase steady pace).
 	TPOT time.Duration
 	// TargetFrac is the attainment fraction the capacity search requires
-	// (e.g. 0.95 = p95 of offered requests meet the SLO).
+	// (e.g. 0.95 = p95 of offered requests meet the SLO). It must lie in
+	// (0, 1]; 0 means the default, anything else outside is an error.
 	TargetFrac float64
 }
 
@@ -226,8 +227,12 @@ func (cfg Config) withDefaults() (Config, nn.Backend, nn.Quant, cuda.Config, err
 	if cfg.SLO.TPOT <= 0 {
 		cfg.SLO.TPOT = defaultSLOTPOT
 	}
-	if cfg.SLO.TargetFrac <= 0 || cfg.SLO.TargetFrac > 1 {
+	if cfg.SLO.TargetFrac == 0 {
 		cfg.SLO.TargetFrac = defaultSLOTarget
+	}
+	if !(cfg.SLO.TargetFrac > 0 && cfg.SLO.TargetFrac <= 1) {
+		return cfg, 0, 0, cuda.Config{}, fmt.Errorf("serve: SLO target fraction %g is not in (0, 1] (0 means the default %g)",
+			cfg.SLO.TargetFrac, defaultSLOTarget)
 	}
 	return cfg, backend, quant, sys, nil
 }

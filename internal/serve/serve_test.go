@@ -200,3 +200,65 @@ func TestKVCapClampedToDevice(t *testing.T) {
 		t.Fatal("run with clamped pool completed nothing")
 	}
 }
+
+func TestSLOTargetFracValidation(t *testing.T) {
+	for _, tc := range []struct {
+		frac float64
+		want float64 // resolved target; 0 when the value must be an error
+	}{
+		{0, defaultSLOTarget},
+		{0.5, 0.5},
+		{1, 1},
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{1.5, 0},
+		{-0.1, 0},
+	} {
+		cfg := fastConfig("off")
+		cfg.SLO.TargetFrac = tc.frac
+		got, _, _, _, err := cfg.withDefaults()
+		if tc.want == 0 {
+			if err == nil || !strings.Contains(err.Error(), "SLO target") {
+				t.Errorf("TargetFrac %g: error %v, want an SLO target error", tc.frac, err)
+			}
+			if _, err := FindCapacity(cfg); err == nil {
+				t.Errorf("TargetFrac %g: FindCapacity accepted it", tc.frac)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("TargetFrac %g: unexpected error %v", tc.frac, err)
+		} else if got.SLO.TargetFrac != tc.want {
+			t.Errorf("TargetFrac %g resolved to %g, want %g", tc.frac, got.SLO.TargetFrac, tc.want)
+		}
+	}
+}
+
+// TestCompletedRequestsDropKVState checks that a finished request holds no
+// KV block array once the run drains, including requests that were
+// preempted and swapped back in before completing.
+func TestCompletedRequestsDropKVState(t *testing.T) {
+	cfg := fastConfig("tdx-h100")
+	cfg.KVCapBytes = 1536 * 128 * 1024 // forces preemption, as in TestPreemptionUnderTinyPool
+	cfg.PromptTokens = LengthDist{Mean: 512}
+	cfg.OutputTokens = LengthDist{Mean: 512}
+	cfg.Requests = 8
+	cfg.Trace = make([]time.Duration, 8)
+	cfg, backend, quant, sys, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := drawWorkload(cfg)
+	rep := schedule(cfg, sys, quant, calibrated(sys, backend, quant, cfg.MaxBatch), wl)
+	if rep.Preemptions == 0 || rep.Completed != len(wl) {
+		t.Fatalf("want every request completed with some preempted, got %d/%d completed, %d preemptions",
+			rep.Completed, len(wl), rep.Preemptions)
+	}
+	for _, s := range wl {
+		if s.kvBlocks != nil {
+			t.Errorf("request %d (preempted %d times) kept %d KV blocks (cap %d) after completing",
+				s.id, s.preemptions, len(s.kvBlocks), cap(s.kvBlocks))
+		}
+	}
+}

@@ -47,6 +47,10 @@ func (pt Port) Engine() *sim.Engine { return pt.pl.eng }
 // nil when tracing is off.
 func (pt Port) Observer() *obs.Observer { return pt.pl.obs }
 
+// ChunkFrames implements ccmode.Port: one pool per platform, shared by the
+// ports of all its GPUs (the simulation is single-threaded).
+func (pt Port) ChunkFrames() *ccmode.ChunkFrames { return &pt.pl.chunkFrames }
+
 // Encrypt implements ccmode.Port.
 func (pt Port) Encrypt(p *sim.Proc, n int64) { pt.pl.Encrypt(p, n) }
 

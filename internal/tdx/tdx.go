@@ -120,6 +120,7 @@ type Platform struct {
 
 	cryptFrames  sim.FramePool[cryptFrame]
 	bounceFrames sim.FramePool[bounceFrame]
+	chunkFrames  ccmode.ChunkFrames // copy chains of every Port on this platform
 }
 
 type bounceWaiter struct {

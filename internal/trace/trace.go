@@ -59,6 +59,10 @@ func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // Tracer records events. It is not safe for concurrent use; the simulator
 // is single-threaded by construction.
+//
+// A nil *Tracer is a valid recorder that stores nothing, so recording is
+// opt-in: runs that never analyze their trace attach none and pay one nil
+// check per event.
 type Tracer struct {
 	events []Event
 	seq    int
@@ -68,23 +72,30 @@ type Tracer struct {
 func New() *Tracer { return &Tracer{} }
 
 // Record appends an event and returns its sequence number. An event that
-// ends before it starts panics: it indicates a broken model, and silently
-// storing it would corrupt every downstream decomposition.
+// ends before it starts panics, on a nil tracer too: it indicates a broken
+// model, and silently storing (or dropping) it would corrupt every
+// downstream decomposition. A nil tracer stores nothing and returns e.Seq.
 func (t *Tracer) Record(e Event) int {
+	if e.End < e.Start {
+		panic(fmt.Sprintf("trace: event %s ends before it starts (%v < %v)", e.Kind, e.End, e.Start))
+	}
+	if t == nil {
+		return e.Seq
+	}
 	t.seq++
 	if e.Seq == 0 {
 		e.Seq = t.seq
-	}
-	if e.End < e.Start {
-		panic(fmt.Sprintf("trace: event %s ends before it starts (%v < %v)", e.Kind, e.End, e.Start))
 	}
 	t.events = append(t.events, e)
 	return e.Seq
 }
 
 // NextSeq reserves a correlation id without recording, so a launch and its
-// kernel can share one.
+// kernel can share one. A nil tracer returns 0.
 func (t *Tracer) NextSeq() int {
+	if t == nil {
+		return 0
+	}
 	t.seq++
 	return t.seq
 }

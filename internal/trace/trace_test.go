@@ -28,6 +28,28 @@ func TestRecordAssignsSeq(t *testing.T) {
 	}
 }
 
+// TestNilTracerRecordsNothingButValidates pins the opt-in contract: a nil
+// recorder stores nothing, hands back the caller's correlation id, and
+// still panics on an event that ends before it starts.
+func TestNilTracerRecordsNothingButValidates(t *testing.T) {
+	var tr *Tracer
+	if got := tr.NextSeq(); got != 0 {
+		t.Fatalf("nil NextSeq = %d, want 0", got)
+	}
+	if got := tr.Record(Event{Kind: KindKernel, Start: 1, End: 2, Seq: 7}); got != 7 {
+		t.Fatalf("nil Record returned seq %d, want the event's 7", got)
+	}
+	if got := tr.Record(Event{Kind: KindAlloc, End: 1}); got != 0 {
+		t.Fatalf("nil Record returned seq %d for an unnumbered event, want 0", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil tracer accepted an event with end < start")
+		}
+	}()
+	tr.Record(Event{Kind: KindKernel, Start: 10, End: 5})
+}
+
 func TestRecordRejectsInvertedEvent(t *testing.T) {
 	tr := New()
 	defer func() {

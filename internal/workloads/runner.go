@@ -4,6 +4,7 @@ import (
 	"hccsim/internal/cuda"
 	"hccsim/internal/obs"
 	"hccsim/internal/sim"
+	"hccsim/internal/trace"
 )
 
 // Result is one completed application run.
@@ -17,9 +18,9 @@ type Result struct {
 }
 
 // Execute runs the application on a fresh simulated system and returns the
-// runtime (with its trace) for analysis. cfg is usually cuda.NewConfig's
-// Table I system under one protection mode; pass a modified config for
-// sweeps.
+// runtime, with its recorded trace attached, for analysis. cfg is usually
+// cuda.NewConfig's Table I system under one protection mode; pass a
+// modified config for sweeps.
 func Execute(spec Spec, mode Mode, cfg cuda.Config) Result {
 	return ExecuteObserved(spec, mode, cfg, nil)
 }
@@ -32,6 +33,7 @@ func Execute(spec Spec, mode Mode, cfg cuda.Config) Result {
 func ExecuteObserved(spec Spec, mode Mode, cfg cuda.Config, o *obs.Observer) Result {
 	eng := sim.NewEngine()
 	rt := cuda.New(eng, cfg)
+	rt.SetTracer(trace.New())
 	if o != nil {
 		o.Bind(eng)
 		rt.SetObserver(o)
