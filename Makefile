@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-fix golden alloc-bound check bench bench-baseline bench-check report sweep-demo clean
+.PHONY: all build test race vet fmt-check lint lint-fix golden alloc-bound fuzz-smoke check bench bench-baseline bench-check report sweep-demo clean
 
 all: check
 
@@ -50,6 +50,19 @@ alloc-bound:
 	$(GO) test ./internal/serve -run AllocationBound -count=1
 
 check: fmt-check vet lint golden alloc-bound race
+
+# Explore every fuzz target for 5 s each (their seed corpora already run
+# under `make test`). Targets are found with `go test -list`, so a new Fuzz*
+# function joins without editing this file. Not part of check: CI runs it
+# as its own step.
+fuzz-smoke:
+	@set -e; list="$$($(GO) test -list '^Fuzz' ./...)"; \
+	printf '%s\n' "$$list" | \
+	awk '/^Fuzz/ { n[++k] = $$1 } /^ok/ { for (i = 1; i <= k; i++) print $$2, n[i]; k = 0 }' | \
+	while read -r pkg fz; do \
+		echo "fuzz-smoke: $$pkg $$fz"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$fz$$" -fuzztime 5s; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -13,6 +13,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -385,14 +386,23 @@ type Delta struct {
 // regresses when it moves in its worse direction by more than tol
 // (fractional, e.g. 0.10); a non-zero Metric.Tol in the baseline overrides
 // tol for that metric alone. Metrics present in only one of the two runs
-// are skipped; comparing runs with no metrics in common is an error.
+// are skipped; comparing runs with no metrics in common is an error. So is
+// a NaN, infinite or negative tolerance, given as tol or read from a
+// baseline Metric.Tol: no change exceeds NaN, so it would pass every
+// metric, and a negative one would flag noise as a regression.
 func Compare(baseline, current Baseline, tol float64) ([]Delta, error) {
+	if !validTol(tol) {
+		return nil, fmt.Errorf("bench: tolerance %v must be finite and >= 0", tol)
+	}
 	cur := make(map[string]Metric, len(current.Metrics))
 	for _, m := range current.Metrics {
 		cur[m.Name] = m
 	}
 	var deltas []Delta
 	for _, old := range baseline.Metrics {
+		if !validTol(old.Tol) {
+			return nil, fmt.Errorf("bench: baseline metric %s: tolerance %v must be finite and >= 0", old.Name, old.Tol)
+		}
 		now, ok := cur[old.Name]
 		if !ok || old.Value == 0 {
 			continue
@@ -419,6 +429,9 @@ func Compare(baseline, current Baseline, tol float64) ([]Delta, error) {
 	}
 	return deltas, nil
 }
+
+// validTol reports whether t is finite and non-negative.
+func validTol(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
 
 // Regressions filters deltas down to the failures.
 func Regressions(deltas []Delta) []Delta {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -77,6 +78,35 @@ func TestCompareNoCommonMetricsErrors(t *testing.T) {
 	cur := Baseline{Schema: SchemaVersion, Metrics: metricSet()}
 	if _, err := Compare(base, cur, DefaultTolerance); err == nil {
 		t.Fatal("want error for disjoint metric sets")
+	}
+}
+
+// TestCompareRejectsBadTolerance: a NaN tolerance would pass every metric
+// (no change exceeds NaN) and a negative one would flag noise, whether it
+// comes from the caller or from a baseline metric's own Tol.
+func TestCompareRejectsBadTolerance(t *testing.T) {
+	cases := []struct {
+		name      string
+		tol, mtol float64
+	}{
+		{"tol NaN", math.NaN(), 0},
+		{"tol +Inf", math.Inf(1), 0},
+		{"tol -Inf", math.Inf(-1), 0},
+		{"tol negative", -0.1, 0},
+		{"metric tol NaN", DefaultTolerance, math.NaN()},
+		{"metric tol +Inf", DefaultTolerance, math.Inf(1)},
+		{"metric tol negative", DefaultTolerance, -0.05},
+	}
+	for _, c := range cases {
+		base := Baseline{Schema: SchemaVersion, Metrics: metricSet()}
+		base.Metrics[1].Tol = c.mtol
+		if _, err := Compare(base, withValues(1000, 200), c.tol); err == nil {
+			t.Errorf("%s: Compare accepted tolerance", c.name)
+		}
+	}
+	base := Baseline{Schema: SchemaVersion, Metrics: metricSet()}
+	if _, err := Compare(base, withValues(1000, 200), 0); err != nil {
+		t.Errorf("zero tolerance rejected: %v", err)
 	}
 }
 

@@ -21,7 +21,8 @@
 // CPU-substrate + link primitives the copy and fault paths need. The
 // concrete Port lives in internal/tdx, which keeps this package a leaf
 // (ccmode imports only the leaf packages internal/sim and internal/obs) so
-// every other layer can depend on it.
+// every other layer can depend on it. Each transform has one form,
+// continuation-passing; a blocking process wraps it in Proc.Await.
 package ccmode
 
 import (
@@ -54,27 +55,29 @@ func (d Direction) String() string {
 // transforms act through: software crypto, the SWIOTLB bounce pool, host
 // staging copies, and DMA — direct per-direction or through the serialized
 // encrypted bridge. internal/tdx provides the concrete implementation.
+//
+// Each timed operation charges its cost, queueing included, to the actor a
+// and then runs step(state), inline when it completes synchronously.
 type Port interface {
-	// Engine returns the simulation engine (pipelined modes spawn helper
-	// processes on it).
-	Engine() *sim.Engine
-	// Encrypt charges protecting n outbound bytes (software AES-GCM on the
-	// bounce path, per-TLP IDE latency on TEE-IO paths, no-op when off).
-	Encrypt(p *sim.Proc, n int64)
-	// Decrypt charges unprotecting n inbound bytes.
-	Decrypt(p *sim.Proc, n int64)
-	// BounceAcquire reserves n bytes of SWIOTLB bounce space (blocking).
-	BounceAcquire(p *sim.Proc, n int64)
+	// EncryptA charges protecting n outbound bytes (software AES-GCM on
+	// the bounce path, per-TLP IDE latency on TEE-IO paths, no-op when
+	// off).
+	EncryptA(a *sim.Actor, n int64, step func(any), state any)
+	// DecryptA charges unprotecting n inbound bytes.
+	DecryptA(a *sim.Actor, n int64, step func(any), state any)
+	// BounceAcquireA reserves n bytes of SWIOTLB bounce space, waiting
+	// while the pool is exhausted.
+	BounceAcquireA(a *sim.Actor, n int64, step func(any), state any)
 	// BounceRelease returns n bytes to the bounce pool.
 	BounceRelease(n int64)
-	// HostMemcpy charges a CPU staging copy of n bytes.
-	HostMemcpy(p *sim.Proc, n int64)
-	// DMA moves n bytes over the full-duplex link in direction d.
-	DMA(p *sim.Proc, d Direction, n int64)
-	// BridgeDMA moves n bytes through the serialized encrypted CPU–GPU
+	// HostMemcpyA charges a CPU staging copy of n bytes.
+	HostMemcpyA(a *sim.Actor, n int64, step func(any), state any)
+	// DMAA moves n bytes over the full-duplex link in direction d.
+	DMAA(a *sim.Actor, d Direction, n int64, step func(any), state any)
+	// BridgeDMAA moves n bytes through the serialized encrypted CPU–GPU
 	// bridge: one resource spanning both directions, derated bandwidth,
 	// hardware IDE latency per transaction.
-	BridgeDMA(p *sim.Proc, d Direction, n int64)
+	BridgeDMAA(a *sim.Actor, d Direction, n int64, step func(any), state any)
 	// Observer returns the attached observability layer, or nil when
 	// tracing is off; modes open copy-path spans through it, paying one
 	// nil check when disabled.
@@ -82,21 +85,10 @@ type Port interface {
 	// ChunkFrames returns the port owner's pool of copy-chain frames, so
 	// steady-state transfers allocate none.
 	ChunkFrames() *ChunkFrames
-
-	// The A-forms are the continuation-passing counterparts used by actor
-	// chains (run-to-completion tasks and Proc Await bridges): same costs
-	// and blocking semantics, with step(state) run when the operation
-	// completes — inline when it completes synchronously.
-	EncryptA(a *sim.Actor, n int64, step func(any), state any)
-	DecryptA(a *sim.Actor, n int64, step func(any), state any)
-	BounceAcquireA(a *sim.Actor, n int64, step func(any), state any)
-	HostMemcpyA(a *sim.Actor, n int64, step func(any), state any)
-	DMAA(a *sim.Actor, d Direction, n int64, step func(any), state any)
-	BridgeDMAA(a *sim.Actor, d Direction, n int64, step func(any), state any)
 }
 
 // Mode is one protection model. Predicates steer the scattered cost sites
-// (launch, alloc/free, MMIO); Transfer and Migrate own the copy-path and
+// (launch, alloc/free, MMIO); TransferA and MigrateA own the copy-path and
 // page-fault transforms outright.
 type Mode interface {
 	// Name is the canonical registry name ("off", "tdx-h100", ...).
@@ -127,31 +119,17 @@ type Mode interface {
 	// FaultHypercalls returns the extra TD exits per fault batch, given
 	// the configured CC value.
 	FaultHypercalls(configured int) int
-	// Transfer runs one explicit host<->device copy of bytes in chunk-sized
-	// DMA transactions, charging the calling process. The returned flag
-	// reports whether the transfer must be labeled managed in traces
-	// (CC demotes "pinned" copies to encrypted paging — Observation 1).
-	Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) (managed bool)
-	// Migrate runs one UVM page-move batch (fault service and hypercalls
-	// are charged by the caller; Migrate owns staging, crypto, and DMA).
-	Migrate(port Port, p *sim.Proc, dir Direction, bytes int64)
-	// TransferA is the continuation form of Transfer: the chain runs under
-	// a and ends in step(state); the managed flag is policy, not timing, so
-	// it is returned synchronously before the chain completes.
+	// TransferA runs one explicit host<->device copy of bytes in
+	// chunk-sized DMA transactions, charging a, and ends in step(state).
+	// The returned flag reports whether the transfer must be labeled
+	// managed in traces (CC demotes "pinned" copies to encrypted paging —
+	// Observation 1); it is policy, not timing, so it is returned
+	// synchronously before the chain completes.
 	TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) (managed bool)
-	// MigrateA is the continuation form of Migrate.
+	// MigrateA runs one UVM page-move batch and ends in step(state) (fault
+	// service and hypercalls are charged by the caller; MigrateA owns
+	// staging, crypto, and DMA).
 	MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any)
-}
-
-// chunks calls fn once per DMA transaction of at most chunk bytes.
-func chunks(bytes, chunk int64, fn func(n int64)) {
-	for off := int64(0); off < bytes; off += chunk {
-		n := chunk
-		if bytes-off < n {
-			n = bytes - off
-		}
-		fn(n)
-	}
 }
 
 // ChunkFrames recycles the chunkFrames of one port owner's copy chains.
@@ -159,9 +137,9 @@ func chunks(bytes, chunk int64, fn func(n int64)) {
 type ChunkFrames struct{ pool sim.FramePool[chunkFrame] }
 
 // chunkFrame drives one continuation-passing copy or page-move chain. One
-// frame is taken from the port's ChunkFrames per Transfer/Migrate call and
+// frame is taken from the port's ChunkFrames per TransferA/MigrateA call and
 // returned when the chain completes. The `one` hook runs a single chunk of
-// f.n bytes and must end in chunkNext; a single-shot chain (Migrate) starts
+// f.n bytes and must end in chunkNext; a single-shot chain (MigrateA) starts
 // with off == bytes so chunkNext completes after the one chunk already in
 // flight.
 type chunkFrame struct {
@@ -206,49 +184,29 @@ func chunkNext(x any) {
 	f.one(f)
 }
 
-// transferAwait adapts a mode's TransferA chain to the blocking Transfer
-// contract: the chain runs under the process's Await bridge, costing at
-// most one context switch regardless of chunk count.
-func transferAwait(m Mode, port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) bool {
-	var managed bool
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		managed = m.TransferA(port, a, dir, bytes, chunk, pinned, step, state)
-	})
-	return managed
-}
+// Whole-transfer and whole-page-move span names, indexed by Direction.
+var (
+	transferSpan = [2]string{"transfer-h2d", "transfer-d2h"}
+	migrateSpan  = [2]string{"migrate-h2d", "migrate-d2h"}
+)
 
-// migrateAwait adapts a mode's MigrateA chain to the blocking Migrate contract.
-func migrateAwait(m Mode, port Port, p *sim.Proc, dir Direction, bytes int64) {
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		m.MigrateA(port, a, dir, bytes, step, state)
-	})
-}
-
-// beginTransfer opens the whole-transfer span on the shared "ccmode"
-// track; the zero Span comes back (one nil check) when tracing is off.
-func beginTransfer(port Port, mode string, dir Direction, bytes int64) obs.Span {
+// beginChain opens a whole-chain span on the shared "ccmode" track; the
+// zero Span comes back (one nil check) when tracing is off.
+func beginChain(port Port, mode, name string, bytes int64) obs.Span {
 	o := port.Observer()
 	if o == nil {
 		return obs.Span{}
 	}
-	name := "transfer-h2d"
-	if dir == D2H {
-		name = "transfer-d2h"
-	}
 	return o.Track("ccmode").Begin(name).Mode(mode).Bytes(bytes)
 }
 
-// beginMigrate opens the whole-page-move span on the "ccmode" track.
-func beginMigrate(port Port, mode string, dir Direction, bytes int64) obs.Span {
-	o := port.Observer()
-	if o == nil {
-		return obs.Span{}
-	}
-	name := "migrate-h2d"
-	if dir == D2H {
-		name = "migrate-d2h"
-	}
-	return o.Track("ccmode").Begin(name).Mode(mode).Bytes(bytes)
+// startTransfer runs a chunked copy chain that moves each chunk with one,
+// under a whole-transfer span.
+func startTransfer(port Port, a *sim.Actor, mode string, dir Direction, bytes, chunk int64, pinned bool,
+	one func(*chunkFrame), step func(any), state any) {
+	chunkNext(newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
+		pinned: pinned, sp: beginChain(port, mode, transferSpan[dir], bytes),
+		one: one, step: step, state: state}))
 }
 
 // directChunk is the unprotected copy path shared by Off and the legacy

@@ -88,30 +88,14 @@ func TestPredicates(t *testing.T) {
 
 // opPort records the operation sequence a mode drives through a Port.
 type opPort struct {
-	eng    *sim.Engine
 	ops    []string
-	rec    func(string)
 	frames ChunkFrames
 }
 
-func newOpPort(eng *sim.Engine) *opPort {
-	pt := &opPort{eng: eng}
-	pt.rec = func(op string) { pt.ops = append(pt.ops, op) }
-	return pt
-}
-
-func (pt *opPort) Engine() *sim.Engine                   { return pt.eng }
-func (pt *opPort) Observer() *obs.Observer               { return nil }
-func (pt *opPort) ChunkFrames() *ChunkFrames             { return &pt.frames }
-func (pt *opPort) Encrypt(p *sim.Proc, n int64)          { pt.rec("enc"); p.Sleep(time.Duration(n)) }
-func (pt *opPort) Decrypt(p *sim.Proc, n int64)          { pt.rec("dec"); p.Sleep(time.Duration(n)) }
-func (pt *opPort) BounceAcquire(p *sim.Proc, n int64)    { pt.rec("acq") }
-func (pt *opPort) BounceRelease(n int64)                 { pt.rec("rel") }
-func (pt *opPort) HostMemcpy(p *sim.Proc, n int64)       { pt.rec("host") }
-func (pt *opPort) DMA(p *sim.Proc, d Direction, n int64) { pt.rec("dma-" + d.String()) }
-func (pt *opPort) BridgeDMA(p *sim.Proc, d Direction, n int64) {
-	pt.rec("bridge-" + d.String())
-}
+func (pt *opPort) rec(op string)             { pt.ops = append(pt.ops, op) }
+func (pt *opPort) Observer() *obs.Observer   { return nil }
+func (pt *opPort) ChunkFrames() *ChunkFrames { return &pt.frames }
+func (pt *opPort) BounceRelease(n int64)     { pt.rec("rel") }
 
 func (pt *opPort) EncryptA(a *sim.Actor, n int64, step func(any), state any) {
 	pt.rec("enc")
@@ -138,15 +122,17 @@ func (pt *opPort) BridgeDMAA(a *sim.Actor, d Direction, n int64, step func(any),
 	step(state)
 }
 
-// run drives one mode.Transfer inside an engine and returns the recorded
-// operation sequence plus the managed flag.
+// run drives one mode.TransferA from a process's Await bridge and returns
+// the recorded operation sequence plus the managed flag.
 func run(t *testing.T, m Mode, dir Direction, bytes, chunk int64, pinned bool) ([]string, bool) {
 	t.Helper()
 	eng := sim.NewEngine()
-	pt := newOpPort(eng)
+	pt := &opPort{}
 	var managed bool
 	eng.Spawn("xfer", func(p *sim.Proc) {
-		managed = m.Transfer(pt, p, dir, bytes, chunk, pinned)
+		p.Await(func(a *sim.Actor, step func(any), state any) {
+			managed = m.TransferA(pt, a, dir, bytes, chunk, pinned, step, state)
+		})
 	})
 	eng.Run()
 	return pt.ops, managed

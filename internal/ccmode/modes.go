@@ -41,26 +41,13 @@ func (Off) FaultBatch(base, cc int) int { return base }
 // FaultHypercalls implements Mode.
 func (Off) FaultHypercalls(configured int) int { return 0 }
 
-// Transfer implements Mode: direct chunked DMA, staging pageable buffers.
-func (m Off) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) bool {
-	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
-}
-
-// Migrate implements Mode: UVM pages move in one plain DMA per batch.
-func (m Off) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
-// TransferA implements Mode.
+// TransferA implements Mode: direct chunked DMA, staging pageable buffers.
 func (m Off) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
-		one: directChunk, step: step, state: state})
-	chunkNext(f)
+	startTransfer(port, a, m.Name(), dir, bytes, chunk, pinned, directChunk, step, state)
 	return false
 }
 
-// MigrateA implements Mode.
+// MigrateA implements Mode: UVM pages move in one plain DMA per batch.
 func (Off) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	port.DMAA(a, dir, bytes, step, state)
 }
@@ -102,32 +89,21 @@ func (TDXH100) FaultBatch(base, cc int) int { return cc }
 // FaultHypercalls implements Mode.
 func (TDXH100) FaultHypercalls(configured int) int { return configured }
 
-// Transfer implements Mode: per chunk, reserve bounce space, encrypt before
-// H2D DMA (or decrypt after D2H), release. "Pinned" host memory rides this
-// same encrypted-paging path, so the transfer is reported managed.
-func (m TDXH100) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) bool {
-	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
-}
-
-// Migrate implements Mode: encrypted paging — bounce staging plus software
-// crypto around the DMA, in the same order as the explicit copy path.
-func (m TDXH100) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
-// TransferA implements Mode.
+// TransferA implements Mode: per chunk, reserve bounce space, encrypt
+// before H2D DMA (or decrypt after D2H), release. "Pinned" host memory
+// rides this same encrypted-paging path, so the transfer is reported
+// managed.
 func (m TDXH100) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		sp:  beginTransfer(port, m.Name(), dir, bytes),
-		one: tdxChunk, step: step, state: state})
-	chunkNext(f)
+	startTransfer(port, a, m.Name(), dir, bytes, chunk, pinned, tdxChunk, step, state)
 	return pinned
 }
 
-// MigrateA implements Mode: one single-shot bounce+crypto+DMA chain.
+// MigrateA implements Mode: encrypted paging — bounce staging plus
+// software crypto around the DMA, in the same order as the explicit copy
+// path, as one single-shot chain.
 func (m TDXH100) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
-		n: bytes, sp: beginMigrate(port, m.Name(), dir, bytes),
+		n: bytes, sp: beginChain(port, m.Name(), migrateSpan[dir], bytes),
 		step: step, state: state})
 	tdxChunk(f)
 }
@@ -198,32 +174,19 @@ func (TEEIODirect) FaultBatch(base, cc int) int { return base }
 // FaultHypercalls implements Mode.
 func (TEEIODirect) FaultHypercalls(configured int) int { return 0 }
 
-// Transfer implements Mode: direct DMA like a legacy VM (hardware IDE runs
-// at line rate on the explicit copy path).
-func (m TEEIODirect) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) bool {
-	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
-}
-
-// Migrate implements Mode: direct DMA plus the residual per-TLP IDE latency
-// (charged through the port's crypto primitives, which resolve to IDE for
-// non-software-crypto CC modes).
-func (m TEEIODirect) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
-// TransferA implements Mode.
+// TransferA implements Mode: direct DMA like a legacy VM (hardware IDE
+// runs at line rate on the explicit copy path).
 func (m TEEIODirect) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
-		one: directChunk, step: step, state: state})
-	chunkNext(f)
+	startTransfer(port, a, m.Name(), dir, bytes, chunk, pinned, directChunk, step, state)
 	return false
 }
 
-// MigrateA implements Mode: one single-shot IDE-crypto+DMA chain.
+// MigrateA implements Mode: direct DMA plus the residual per-TLP IDE
+// latency (charged through the port's crypto primitives, which resolve to
+// IDE for non-software-crypto CC modes), as one single-shot chain.
 func (m TEEIODirect) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, off: bytes, bytes: bytes,
-		n: bytes, sp: beginMigrate(port, m.Name(), dir, bytes),
+		n: bytes, sp: beginChain(port, m.Name(), migrateSpan[dir], bytes),
 		step: step, state: state})
 	if dir == H2D {
 		f.port.EncryptA(f.a, f.n, teeioEncrypted, f)
@@ -283,27 +246,14 @@ func (TEEIOBridge) FaultBatch(base, cc int) int { return base }
 // FaultHypercalls implements Mode.
 func (TEEIOBridge) FaultHypercalls(configured int) int { return 0 }
 
-// Transfer implements Mode: every chunk crosses the serialized bridge
+// TransferA implements Mode: every chunk crosses the serialized bridge
 // (pageable buffers still pay the staging memcpy first).
-func (m TEEIOBridge) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) bool {
-	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
-}
-
-// Migrate implements Mode: UVM batches cross the same serialized bridge.
-func (m TEEIOBridge) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	migrateAwait(m, port, p, dir, bytes)
-}
-
-// TransferA implements Mode.
 func (m TEEIOBridge) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
-	f := newChunkFrame(port, chunkFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-		pinned: pinned, sp: beginTransfer(port, m.Name(), dir, bytes),
-		one: bridgeChunk, step: step, state: state})
-	chunkNext(f)
+	startTransfer(port, a, m.Name(), dir, bytes, chunk, pinned, bridgeChunk, step, state)
 	return false
 }
 
-// MigrateA implements Mode.
+// MigrateA implements Mode: UVM batches cross the same serialized bridge.
 func (TEEIOBridge) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	port.BridgeDMAA(a, dir, bytes, step, state)
 }

@@ -18,7 +18,7 @@ import (
 // real double-buffered implementation is bounded by its staging buffers.
 //
 // Wrapping a mode without a software-crypto path (Off, TEE-IO) changes
-// nothing: there is no cipher stage to overlap, so Transfer delegates.
+// nothing: there is no cipher stage to overlap, so TransferA delegates.
 // Fault-path migrations are single-batch and also delegate unchanged.
 type Pipelined struct {
 	Inner Mode
@@ -56,29 +56,10 @@ func (m Pipelined) FaultBatch(base, cc int) int { return m.Inner.FaultBatch(base
 // FaultHypercalls implements Mode.
 func (m Pipelined) FaultHypercalls(configured int) int { return m.Inner.FaultHypercalls(configured) }
 
-// Migrate implements Mode: single-batch page moves have nothing to overlap.
-func (m Pipelined) Migrate(port Port, p *sim.Proc, dir Direction, bytes int64) {
-	m.Inner.Migrate(port, p, dir, bytes)
-}
-
-// MigrateA implements Mode.
+// MigrateA implements Mode: single-batch page moves have nothing to
+// overlap.
 func (m Pipelined) MigrateA(port Port, a *sim.Actor, dir Direction, bytes int64, step func(any), state any) {
 	m.Inner.MigrateA(port, a, dir, bytes, step, state)
-}
-
-// Transfer implements Mode. On the software-crypto path the cipher stage
-// and the DMA stage run as separate simulated tasks connected by a chunk
-// queue:
-//
-//	H2D: caller acquires bounce space and encrypts chunk i while the
-//	     companion DMAs chunk i-1 and releases its bounce space.
-//	D2H: companion acquires bounce space and DMAs chunk i+1 while the
-//	     caller decrypts chunk i and releases.
-//
-// The caller is charged until the last chunk has fully landed, so the
-// transfer remains blocking like the stock copy path.
-func (m Pipelined) Transfer(port Port, p *sim.Proc, dir Direction, bytes, chunk int64, pinned bool) bool {
-	return transferAwait(m, port, p, dir, bytes, chunk, pinned)
 }
 
 // pipeFrame carries one side (caller or companion) of a pipelined transfer.
@@ -108,15 +89,24 @@ func pipeSpan(port Port, name string, bytes int64) obs.Span {
 	return o.Track("ccmode-pipelined-dma").Begin(name).Bytes(bytes)
 }
 
-// TransferA implements Mode: the CPS form of the two-stage pipeline. The
-// companion DMA stage is a spawned actor; the caller stage runs on a.
+// TransferA implements Mode. On the software-crypto path the cipher stage
+// and the DMA stage run as separate simulated tasks connected by a chunk
+// queue — the caller stage on a, the companion DMA stage on a spawned
+// actor:
+//
+//	H2D: caller acquires bounce space and encrypts chunk i while the
+//	     companion DMAs chunk i-1 and releases its bounce space.
+//	D2H: companion acquires bounce space and DMAs chunk i+1 while the
+//	     caller decrypts chunk i and releases.
+//
+// The caller is charged until the last chunk has fully landed, so the
+// transfer remains blocking like the stock copy path.
 func (m Pipelined) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chunk int64, pinned bool, step func(any), state any) bool {
 	if !m.Inner.SoftwareCryptoPath() {
 		return m.Inner.TransferA(port, a, dir, bytes, chunk, pinned, step, state)
 	}
-	nChunks := 0
-	chunks(bytes, chunk, func(int64) { nChunks++ })
-	eng := port.Engine()
+	nChunks := int((bytes + chunk - 1) / chunk)
+	eng := a.Engine()
 	q := sim.NewQueue[int64](eng).SetLabel("ccmode-pipelined")
 
 	if dir == H2D {
@@ -128,7 +118,7 @@ func (m Pipelined) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chun
 			pipeDrainNext(cf)
 		})
 		f := &pipeFrame{port: port, a: a, dir: dir, bytes: bytes, chunk: chunk,
-			q: q, done: done, sp: beginTransfer(port, m.Name(), dir, bytes),
+			q: q, done: done, sp: beginChain(port, m.Name(), transferSpan[dir], bytes),
 			step: step, state: state}
 		pipeFillNext(f)
 		return pinned
@@ -141,7 +131,7 @@ func (m Pipelined) TransferA(port Port, a *sim.Actor, dir Direction, bytes, chun
 		pipeProduceNext(cf)
 	})
 	f := &pipeFrame{port: port, a: a, dir: dir, nChunks: nChunks, q: q,
-		sp:   beginTransfer(port, m.Name(), dir, bytes),
+		sp:   beginChain(port, m.Name(), transferSpan[dir], bytes),
 		step: step, state: state}
 	pipeConsumeNext(f)
 	return pinned

@@ -431,7 +431,10 @@ func (d *Device) TransferHD(p *sim.Proc, dir pcie.Direction, bytes int64, pinned
 	if bytes <= 0 {
 		return false
 	}
-	return d.mode.Transfer(d.port, p, tdx.CCDirection(dir), bytes, d.params.ChunkBytes, pinned)
+	p.Await(func(a *sim.Actor, step func(any), state any) {
+		managed = d.mode.TransferA(d.port, a, tdx.CCDirection(dir), bytes, d.params.ChunkBytes, pinned, step, state)
+	})
+	return managed
 }
 
 // TransferHDA is the continuation form of TransferHD; the managed flag is

@@ -4,6 +4,7 @@ import (
 	"io"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"hccsim/internal/sim"
 	"hccsim/internal/units"
@@ -30,7 +31,7 @@ func (o *Observer) ChromeTrace() []byte {
 		b = append(b, `{"ph":"M","pid":0,"tid":`...)
 		b = strconv.AppendInt(b, int64(tid), 10)
 		b = append(b, `,"name":"thread_name","args":{"name":`...)
-		b = strconv.AppendQuote(b, t.name)
+		b = appendString(b, t.name)
 		b = append(b, "}}"...)
 		b = append(b, ",\n"...)
 		b = append(b, `{"ph":"M","pid":0,"tid":`...)
@@ -53,7 +54,7 @@ func (o *Observer) ChromeTrace() []byte {
 		b = append(b, `{"ph":"M","pid":0,"tid":`...)
 		b = strconv.AppendInt(b, int64(tid), 10)
 		b = append(b, `,"name":"thread_name","args":{"name":`...)
-		b = strconv.AppendQuote(b, a.scope)
+		b = appendString(b, a.scope)
 		b = append(b, "}}"...)
 	}
 	for _, sp := range o.spans {
@@ -69,7 +70,7 @@ func (o *Observer) ChromeTrace() []byte {
 		}
 		b = appendUS(b, end-sp.start)
 		b = append(b, `,"name":`...)
-		b = strconv.AppendQuote(b, sp.name)
+		b = appendString(b, sp.name)
 		b = appendArgs(b, sp)
 		b = append(b, "}"...)
 	}
@@ -90,11 +91,11 @@ func (o *Observer) ChromeTrace() []byte {
 		}
 		first = false
 		b = append(b, `{"name":`...)
-		b = strconv.AppendQuote(b, m.Name)
+		b = appendString(b, m.Name)
 		b = append(b, `,"kind":`...)
-		b = strconv.AppendQuote(b, m.Kind.String())
+		b = appendString(b, m.Kind.String())
 		b = append(b, `,"unit":`...)
-		b = strconv.AppendQuote(b, m.Unit)
+		b = appendString(b, m.Unit)
 		switch m.Kind {
 		case KindGauge:
 			b = append(b, `,"value":`...)
@@ -131,6 +132,25 @@ func appendUS[T ~int64](b []byte, t T) []byte {
 	return strconv.AppendFloat(b, units.ToUS(time.Duration(t)), 'f', 3, 64)
 }
 
+// appendString appends s as a JSON string (strconv.AppendQuote's \x and
+// \U escapes are Go, not JSON): control characters become \u escapes,
+// invalid UTF-8 becomes U+FFFD, and the rest is copied as-is.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
+		default:
+			b = utf8.AppendRune(b, r)
+		}
+	}
+	return append(b, '"')
+}
+
 // appendArgs appends the span's attrs as a fixed-order args object.
 func appendArgs(b []byte, sp span) []byte {
 	if sp.bytes == 0 && sp.n == 0 && sp.req < 0 && sp.mode == "" {
@@ -164,7 +184,7 @@ func appendArgs(b []byte, sp span) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `"mode":`...)
-		b = strconv.AppendQuote(b, sp.mode)
+		b = appendString(b, sp.mode)
 	}
 	b = append(b, "}"...)
 	return b
@@ -178,13 +198,13 @@ func appendAsync(b []byte, a asyncSpan, ph string, at sim.Time, tid int) []byte 
 	b = append(b, `","pid":0,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"cat":`...)
-	b = strconv.AppendQuote(b, a.scope)
+	b = appendString(b, a.scope)
 	b = append(b, `,"id":`...)
-	b = strconv.AppendQuote(b, "0x"+strconv.FormatInt(a.id, 16))
+	b = appendString(b, "0x"+strconv.FormatInt(a.id, 16))
 	b = append(b, `,"ts":`...)
 	b = appendUS(b, at)
 	b = append(b, `,"name":`...)
-	b = strconv.AppendQuote(b, a.name)
+	b = appendString(b, a.name)
 	b = append(b, "}"...)
 	return b
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -155,11 +156,18 @@ func (c Counter) Value() int64 {
 	return c.i.count
 }
 
-// Set stores the gauge's value.
+// Set stores the gauge's value. A NaN or infinite value panics: the
+// Chrome-trace export writes gauges as JSON numbers, which cannot spell
+// them, so storing one would corrupt the whole export. The zero Gauge
+// (observability off) stores nothing and checks nothing.
 func (g Gauge) Set(v float64) {
-	if g.i != nil {
-		g.i.gauge = v
+	if g.i == nil {
+		return
 	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic("obs: non-finite gauge value")
+	}
+	g.i.gauge = v
 }
 
 // Value returns the gauge's current value.

@@ -94,14 +94,6 @@ func (l *Link) TransferTime(n int64) time.Duration {
 	return l.params.TransactionLatency + units.StreamDuration(n, l.params.EffectiveGBps)
 }
 
-// Transfer moves n bytes in direction d, charging queueing plus transfer
-// time to the calling process.
-func (l *Link) Transfer(p *sim.Proc, d Direction, n int64) {
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		l.TransferA(a, d, n, step, state)
-	})
-}
-
 // xferFrame carries one in-flight TransferA/BridgeTransferA; recycled
 // through the link's pool.
 type xferFrame struct {
@@ -113,8 +105,9 @@ type xferFrame struct {
 	state any
 }
 
-// TransferA is the continuation form of Transfer: acquire the directional
-// DMA engine, hold it for the transfer time, release, then run step(state).
+// TransferA moves n bytes in direction d, charging a queueing plus transfer
+// time: acquire the directional DMA engine, hold it for TransferTime(n),
+// release, then run step(state).
 func (l *Link) TransferA(a *sim.Actor, d Direction, n int64, step func(any), state any) {
 	f := l.frames.Get()
 	f.l, f.d, f.n, f.step, f.state = l, d, n, step, state
@@ -132,19 +125,13 @@ func xferDone(x any) {
 	step(state)
 }
 
-// BridgeTransfer moves n bytes through the serialized encrypted bridge
-// ("The Serialized Bridge" model of Blackwell GPU-CC): unlike Transfer,
-// both directions contend for one resource, the achievable rate is derated
-// to gbps, and each transaction pays perTLP of hardware IDE latency on top
-// of the link's setup cost. A non-positive gbps falls back to the link's
-// full-duplex rate (serialization without derating).
-func (l *Link) BridgeTransfer(p *sim.Proc, d Direction, n int64, gbps float64, perTLP time.Duration) {
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		l.BridgeTransferA(a, d, n, gbps, perTLP, step, state)
-	})
-}
-
-// BridgeTransferA is the continuation form of BridgeTransfer.
+// BridgeTransferA moves n bytes through the serialized encrypted bridge
+// ("The Serialized Bridge" model of Blackwell GPU-CC), then runs
+// step(state): unlike TransferA, both directions contend for one resource,
+// the achievable rate is derated to gbps, and each transaction pays perTLP
+// of hardware IDE latency on top of the link's setup cost. A non-positive
+// gbps falls back to the link's full-duplex rate (serialization without
+// derating).
 func (l *Link) BridgeTransferA(a *sim.Actor, d Direction, n int64, gbps float64, perTLP time.Duration, step func(any), state any) {
 	if l.bridge == nil {
 		l.bridge = sim.NewResource(l.eng, 1).SetLabel("pcie-bridge")

@@ -8,6 +8,11 @@ import (
 	"hccsim/internal/sim"
 )
 
+// transfer blocks p for one TransferA on l.
+func transfer(p *sim.Proc, l *Link, d Direction, n int64) {
+	p.Await(func(a *sim.Actor, step func(any), state any) { l.TransferA(a, d, n, step, state) })
+}
+
 func TestTransferTimeMonotonic(t *testing.T) {
 	l := NewLink(sim.NewEngine(), defaultParams())
 	prev := time.Duration(0)
@@ -50,8 +55,8 @@ func TestSameDirectionSerializesOppositeOverlaps(t *testing.T) {
 
 	// Two H2D transfers: serialized.
 	var h2dEnd sim.Time
-	eng.Spawn("a", func(p *sim.Proc) { l.Transfer(p, H2D, n) })
-	eng.Spawn("b", func(p *sim.Proc) { l.Transfer(p, H2D, n); h2dEnd = p.Now() })
+	eng.Spawn("a", func(p *sim.Proc) { transfer(p, l, H2D, n) })
+	eng.Spawn("b", func(p *sim.Proc) { transfer(p, l, H2D, n); h2dEnd = p.Now() })
 	eng.Run()
 	if time.Duration(h2dEnd) < 2*single {
 		t.Fatalf("same-direction transfers overlapped: end %v < %v", h2dEnd, 2*single)
@@ -61,8 +66,8 @@ func TestSameDirectionSerializesOppositeOverlaps(t *testing.T) {
 	eng2 := sim.NewEngine()
 	l2 := NewLink(eng2, defaultParams())
 	var aEnd, bEnd sim.Time
-	eng2.Spawn("a", func(p *sim.Proc) { l2.Transfer(p, H2D, n); aEnd = p.Now() })
-	eng2.Spawn("b", func(p *sim.Proc) { l2.Transfer(p, D2H, n); bEnd = p.Now() })
+	eng2.Spawn("a", func(p *sim.Proc) { transfer(p, l2, H2D, n); aEnd = p.Now() })
+	eng2.Spawn("b", func(p *sim.Proc) { transfer(p, l2, D2H, n); bEnd = p.Now() })
 	eng2.Run()
 	if aEnd != bEnd || time.Duration(aEnd) > single+time.Microsecond {
 		t.Fatalf("duplex transfers did not overlap: %v / %v (single=%v)", aEnd, bEnd, single)
@@ -73,9 +78,9 @@ func TestAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, defaultParams())
 	eng.Spawn("a", func(p *sim.Proc) {
-		l.Transfer(p, H2D, 1000)
-		l.Transfer(p, H2D, 2000)
-		l.Transfer(p, D2H, 500)
+		transfer(p, l, H2D, 1000)
+		transfer(p, l, H2D, 2000)
+		transfer(p, l, D2H, 500)
 	})
 	eng.Run()
 	if l.BytesMoved(H2D) != 3000 || l.BytesMoved(D2H) != 500 {
@@ -97,7 +102,7 @@ func TestPropertySerialLinkAdditive(t *testing.T) {
 		eng := sim.NewEngine()
 		l := NewLink(eng, defaultParams())
 		for i := 0; i < n; i++ {
-			eng.Spawn("x", func(p *sim.Proc) { l.Transfer(p, H2D, size) })
+			eng.Spawn("x", func(p *sim.Proc) { transfer(p, l, H2D, size) })
 		}
 		end := eng.Run()
 		want := time.Duration(n) * l.TransferTime(size)

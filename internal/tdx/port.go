@@ -40,9 +40,6 @@ func CCDirection(d pcie.Direction) ccmode.Direction {
 	return ccmode.D2H
 }
 
-// Engine implements ccmode.Port.
-func (pt Port) Engine() *sim.Engine { return pt.pl.eng }
-
 // Observer implements ccmode.Port: the platform-wide observability layer,
 // nil when tracing is off.
 func (pt Port) Observer() *obs.Observer { return pt.pl.obs }
@@ -51,31 +48,8 @@ func (pt Port) Observer() *obs.Observer { return pt.pl.obs }
 // ports of all its GPUs (the simulation is single-threaded).
 func (pt Port) ChunkFrames() *ccmode.ChunkFrames { return &pt.pl.chunkFrames }
 
-// Encrypt implements ccmode.Port.
-func (pt Port) Encrypt(p *sim.Proc, n int64) { pt.pl.Encrypt(p, n) }
-
-// Decrypt implements ccmode.Port.
-func (pt Port) Decrypt(p *sim.Proc, n int64) { pt.pl.Decrypt(p, n) }
-
-// BounceAcquire implements ccmode.Port.
-func (pt Port) BounceAcquire(p *sim.Proc, n int64) { pt.pl.BounceAcquire(p, n) }
-
 // BounceRelease implements ccmode.Port.
 func (pt Port) BounceRelease(n int64) { pt.pl.BounceRelease(n) }
-
-// HostMemcpy implements ccmode.Port.
-func (pt Port) HostMemcpy(p *sim.Proc, n int64) { pt.pl.HostMemcpy(p, n) }
-
-// DMA implements ccmode.Port via the full-duplex link.
-func (pt Port) DMA(p *sim.Proc, d ccmode.Direction, n int64) {
-	pt.link.Transfer(p, PCIeDirection(d), n)
-}
-
-// BridgeDMA implements ccmode.Port via the serialized encrypted bridge,
-// derated to the platform's BridgeGBps with IDE latency per transaction.
-func (pt Port) BridgeDMA(p *sim.Proc, d ccmode.Direction, n int64) {
-	pt.link.BridgeTransfer(p, PCIeDirection(d), n, pt.pl.params.BridgeGBps, pt.pl.params.IDEPerTLP)
-}
 
 // EncryptA implements ccmode.Port.
 func (pt Port) EncryptA(a *sim.Actor, n int64, step func(any), state any) {
@@ -102,7 +76,8 @@ func (pt Port) DMAA(a *sim.Actor, d ccmode.Direction, n int64, step func(any), s
 	pt.link.TransferA(a, PCIeDirection(d), n, step, state)
 }
 
-// BridgeDMAA implements ccmode.Port via the serialized encrypted bridge.
+// BridgeDMAA implements ccmode.Port via the serialized encrypted bridge,
+// derated to the platform's BridgeGBps with IDE latency per transaction.
 func (pt Port) BridgeDMAA(a *sim.Actor, d ccmode.Direction, n int64, step func(any), state any) {
 	pt.link.BridgeTransferA(a, PCIeDirection(d), n, pt.pl.params.BridgeGBps, pt.pl.params.IDEPerTLP, step, state)
 }

@@ -182,9 +182,6 @@ func (pl *Platform) Params() Params { return pl.params }
 // Stats returns a snapshot of substrate counters.
 func (pl *Platform) Stats() Stats { return pl.stats }
 
-// Engine returns the simulation engine.
-func (pl *Platform) Engine() *sim.Engine { return pl.eng }
-
 func pages(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
@@ -192,13 +189,8 @@ func pages(bytes int64) int64 {
 	return (bytes + PageBytes - 1) / PageBytes
 }
 
-// Hypercall charges one tdx_hypercall round trip (TD only).
-func (pl *Platform) Hypercall(p *sim.Proc) {
-	pl.stats.Hypercalls++
-	p.Sleep(pl.params.Hypercall)
-}
-
-// HypercallA is the continuation form of Hypercall.
+// HypercallA charges one tdx_hypercall round trip (TD only), then runs
+// step(state).
 func (pl *Platform) HypercallA(a *sim.Actor, step func(any), state any) {
 	pl.stats.Hypercalls++
 	a.Sleep(pl.params.Hypercall, step, state)
@@ -273,17 +265,8 @@ func (pl *Platform) ScrubPrivate(p *sim.Proc, bytes int64) {
 	p.Sleep(time.Duration(n) * pl.params.ScrubPerPage)
 }
 
-// HostMemcpy charges a CPU staging copy of n bytes (pageable-transfer
-// staging, bounce-buffer fill/drain).
-func (pl *Platform) HostMemcpy(p *sim.Proc, n int64) {
-	if n <= 0 {
-		return
-	}
-	pl.stats.BytesStaged += n
-	p.Sleep(units.StreamDuration(n, pl.params.HostMemcpyGBps))
-}
-
-// HostMemcpyA is the continuation form of HostMemcpy.
+// HostMemcpyA charges a CPU staging copy of n bytes (pageable-transfer
+// staging, bounce-buffer fill/drain), then runs step(state).
 func (pl *Platform) HostMemcpyA(a *sim.Actor, n int64, step func(any), state any) {
 	if n <= 0 {
 		step(state)
@@ -291,20 +274,6 @@ func (pl *Platform) HostMemcpyA(a *sim.Actor, n int64, step func(any), state any
 	}
 	pl.stats.BytesStaged += n
 	a.Sleep(units.StreamDuration(n, pl.params.HostMemcpyGBps), step, state)
-}
-
-// BounceAcquire reserves n bytes of SWIOTLB bounce space, blocking while the
-// pool is exhausted, and charges the dma_direct_alloc mapping cost. It is a
-// no-op (returning instantly) in a legacy VM, where the device DMAs guest
-// memory directly. A single request larger than the whole pool panics —
-// it could never be satisfied and would deadlock the waiter.
-func (pl *Platform) BounceAcquire(p *sim.Proc, n int64) {
-	if !pl.mode.SoftwareCryptoPath() || n <= 0 {
-		return
-	}
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		pl.BounceAcquireA(a, n, step, state)
-	})
 }
 
 // bounceFrame carries one in-flight BounceAcquireA; recycled through the
@@ -318,11 +287,12 @@ type bounceFrame struct {
 	state any
 }
 
-// BounceAcquireA is the continuation form of BounceAcquire: charge the DMA
-// mapping cost, wait (re-checking on every wake, like the blocking form's
-// loop) until the request fits in the pool, reserve, then run step(state).
-// Like BounceAcquire it panics on a request larger than the whole pool,
-// which could never be satisfied.
+// BounceAcquireA reserves n bytes of SWIOTLB bounce space, then runs
+// step(state): charge the dma_direct_alloc mapping cost, wait (re-checking
+// on every wake) while the pool is exhausted, reserve. It is a no-op
+// (continuing inline) in a mode without the software-crypto path, where the
+// device DMAs guest memory directly. A single request larger than the whole
+// pool panics — it could never be satisfied and would deadlock the waiter.
 func (pl *Platform) BounceAcquireA(a *sim.Actor, n int64, step func(any), state any) {
 	if !pl.mode.SoftwareCryptoPath() || n <= 0 {
 		step(state)
@@ -389,16 +359,6 @@ func (pl *Platform) Encrypt(p *sim.Proc, n int64) {
 	})
 }
 
-// Decrypt charges software AES-GCM decryption of n bytes. No-op without CC.
-func (pl *Platform) Decrypt(p *sim.Proc, n int64) {
-	if !pl.mode.CC() || n <= 0 {
-		return
-	}
-	p.Await(func(a *sim.Actor, step func(any), state any) {
-		pl.DecryptA(a, n, step, state)
-	})
-}
-
 // cryptFrame carries one in-flight EncryptA/DecryptA; recycled through the
 // platform's pool.
 type cryptFrame struct {
@@ -416,7 +376,8 @@ func (pl *Platform) EncryptA(a *sim.Actor, n int64, step func(any), state any) {
 	pl.cryptA(a, n, false, step, state)
 }
 
-// DecryptA is the continuation form of Decrypt.
+// DecryptA charges software AES-GCM decryption of n bytes (hardware IDE
+// latency on TEE-IO modes), then runs step(state). No-op without CC.
 func (pl *Platform) DecryptA(a *sim.Actor, n int64, step func(any), state any) {
 	pl.cryptA(a, n, true, step, state)
 }

@@ -17,6 +17,12 @@ func run(mode ccmode.Mode, body func(pl *Platform, p *sim.Proc)) (*Platform, sim
 	return pl, end
 }
 
+// block runs the n-byte continuation-form operation op under p's Await
+// bridge.
+func block(p *sim.Proc, op func(*sim.Actor, int64, func(any), any), n int64) {
+	p.Await(func(a *sim.Actor, step func(any), state any) { op(a, n, step, state) })
+}
+
 func TestHypercallMoreExpensiveThanExit(t *testing.T) {
 	p := defaultParams()
 	// The paper cites >470% overhead for tdx_hypercall vs a plain exit.
@@ -42,8 +48,8 @@ func TestPageOpsNoOpWithoutCC(t *testing.T) {
 		pl.ConvertShared(p, 1<<20)
 		pl.ScrubPrivate(p, 1<<20)
 		pl.Encrypt(p, 1<<20)
-		pl.Decrypt(p, 1<<20)
-		pl.BounceAcquire(p, 1<<20)
+		block(p, pl.DecryptA, 1<<20)
+		block(p, pl.BounceAcquireA, 1<<20)
 		pl.BounceRelease(1 << 20)
 	})
 	if end != 0 {
@@ -100,13 +106,13 @@ func TestBouncePoolBlocksWhenExhausted(t *testing.T) {
 	pl := NewPlatform(eng, ccmode.TDXH100{}, params)
 	var secondStart sim.Time
 	eng.Spawn("a", func(p *sim.Proc) {
-		pl.BounceAcquire(p, 1<<20)
+		block(p, pl.BounceAcquireA, 1<<20)
 		p.Sleep(time.Millisecond)
 		pl.BounceRelease(1 << 20)
 	})
 	eng.Spawn("b", func(p *sim.Proc) {
 		p.Sleep(time.Microsecond) // arrive second
-		pl.BounceAcquire(p, 1<<19)
+		block(p, pl.BounceAcquireA, 1<<19)
 		secondStart = p.Now()
 		pl.BounceRelease(1 << 19)
 	})
@@ -130,7 +136,7 @@ func TestBounceOversizedRequestPanics(t *testing.T) {
 				t.Error("expected panic for oversized bounce request")
 			}
 		}()
-		pl.BounceAcquire(p, 8192)
+		block(p, pl.BounceAcquireA, 8192)
 	})
 	eng.Run()
 }
@@ -198,9 +204,6 @@ func TestAccessorsAndPaths(t *testing.T) {
 	if pl.Params().Hypercall != defaultParams().Hypercall {
 		t.Fatal("Params accessor broken")
 	}
-	if pl.Engine() != eng {
-		t.Fatal("Engine accessor broken")
-	}
 	if pl.MMIOCost() != defaultParams().Hypercall {
 		t.Fatal("TD MMIOCost should be a hypercall")
 	}
@@ -217,9 +220,9 @@ func TestHypercallAndHostMemcpy(t *testing.T) {
 	eng := sim.NewEngine()
 	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
-		pl.Hypercall(p)
-		pl.HostMemcpy(p, 115*1000*1000) // ~10ms at 11.5 GB/s
-		pl.HostMemcpy(p, 0)             // no-op
+		p.Await(pl.HypercallA)
+		block(p, pl.HostMemcpyA, 115*1000*1000) // ~10ms at 11.5 GB/s
+		block(p, pl.HostMemcpyA, 0)             // no-op
 	})
 	end := eng.Run()
 	want := defaultParams().Hypercall + 10*time.Millisecond
@@ -237,7 +240,7 @@ func TestTEEIOEncryptDecryptAreIDE(t *testing.T) {
 	pl := NewPlatform(eng, ccmode.TEEIODirect{}, defaultParams())
 	eng.Spawn("t", func(p *sim.Proc) {
 		pl.Encrypt(p, 1<<30)
-		pl.Decrypt(p, 1<<30)
+		block(p, pl.DecryptA, 1<<30)
 	})
 	end := eng.Run()
 	want := 2 * defaultParams().IDEPerTLP
@@ -255,7 +258,7 @@ func TestTEEIOEncryptDecryptAreIDE(t *testing.T) {
 func TestDecryptChargesWorker(t *testing.T) {
 	eng := sim.NewEngine()
 	pl := NewPlatform(eng, ccmode.TDXH100{}, defaultParams())
-	eng.Spawn("t", func(p *sim.Proc) { pl.Decrypt(p, 33_600_000) }) // ~10ms at 3.36GB/s
+	eng.Spawn("t", func(p *sim.Proc) { block(p, pl.DecryptA, 33_600_000) }) // ~10ms at 3.36GB/s
 	end := eng.Run()
 	if time.Duration(end) < 9*time.Millisecond {
 		t.Fatalf("decrypt too fast: %v", time.Duration(end))

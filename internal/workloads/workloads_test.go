@@ -250,3 +250,28 @@ func TestEventCountsStable(t *testing.T) {
 		})
 	}
 }
+
+// TestBounceSlotsConserved: every app, in both memory models and under
+// every protection mode, returns each SWIOTLB bounce byte it reserves —
+// including the pipelined decorator, whose companion DMA stage releases
+// the slots its caller stage acquired.
+func TestBounceSlotsConserved(t *testing.T) {
+	modes := []string{"off", "tdx-h100", "tdx-h100+pipelined", "tee-io-direct", "tee-io-bridge"}
+	for _, s := range All() {
+		for _, m := range []Mode{CopyExecute, UVM} {
+			if m == UVM && !s.UVMCapable {
+				continue
+			}
+			for _, mode := range modes {
+				res := Execute(s, m, config(t, mode))
+				pl := res.Runtime.Platform()
+				if used := pl.BounceInUse(); used != 0 {
+					t.Errorf("%s/%v/%s: %d bounce bytes still reserved", s.Name, m, mode, used)
+				}
+				if pl.SoftwareCryptoPath() && pl.Stats().DMAMaps == 0 {
+					t.Errorf("%s/%v/%s: no bounce space was ever reserved", s.Name, m, mode)
+				}
+			}
+		}
+	}
+}
