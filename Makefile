@@ -38,11 +38,14 @@ lint-fix:
 	$(GO) run ./cmd/hcclint -baseline lint.baseline -fix ./...
 
 # Byte-identity gate for the simulator's output: every committed figure
-# golden, the named-vs-implicit platform spelling test, and the per-mode
-# Chrome-trace goldens under testdata/.
+# golden, the named-vs-implicit platform spelling test, the per-mode
+# Chrome-trace goldens under testdata/, and the pinned scheduling counters
+# of the application grid (a host-side speedup must not change how the
+# simulation runs).
 golden:
 	$(GO) test ./internal/figures -run 'Golden|ModeSpelling' -count=1
 	$(GO) test . -run GoldenChromeTraces -count=1
+	$(GO) test ./internal/workloads -run SchedulingCountersPinned -count=1
 
 # Allocation bounds skip under the race detector, which instruments every
 # allocation, so check runs them once without it.

@@ -38,6 +38,22 @@ func (d LengthDist) String() string {
 	return fmt.Sprintf("%d±%d", d.Mean, d.Spread)
 }
 
+// orDefault returns d, or def when d is the zero value. It rejects a
+// distribution drawWorkload cannot sample: a negative Mean or Spread, a
+// Spread without a Mean, or a range whose width (2*Spread+1) or upper end
+// (Mean+Spread) overflows int.
+func (d LengthDist) orDefault(what string, def LengthDist) (LengthDist, error) {
+	switch {
+	case d == LengthDist{}:
+		return def, nil
+	case d.Mean <= 0 || d.Spread < 0:
+		return d, fmt.Errorf("serve: %s length %v needs a positive Mean and a non-negative Spread (the zero value means the default %v)", what, d, def)
+	case d.Spread > (math.MaxInt-1)/2 || d.Mean > math.MaxInt-d.Spread:
+		return d, fmt.Errorf("serve: %s length %v overflows int", what, d)
+	}
+	return d, nil
+}
+
 // SLO is the latency service-level objective a request must meet to count
 // as attained. Zero fields are unchecked.
 type SLO struct {
@@ -189,11 +205,11 @@ func (cfg Config) withDefaults() (Config, nn.Backend, nn.Quant, cuda.Config, err
 			return cfg, 0, 0, cuda.Config{}, fmt.Errorf("%w (RateQPS is required unless Trace is set)", err)
 		}
 	}
-	if cfg.PromptTokens.Mean <= 0 {
-		cfg.PromptTokens = LengthDist{Mean: defaultPromptMean, Spread: defaultPromptSpread}
+	if cfg.PromptTokens, err = cfg.PromptTokens.orDefault("prompt", LengthDist{Mean: defaultPromptMean, Spread: defaultPromptSpread}); err != nil {
+		return cfg, 0, 0, cuda.Config{}, err
 	}
-	if cfg.OutputTokens.Mean <= 0 {
-		cfg.OutputTokens = LengthDist{Mean: defaultOutputMean, Spread: defaultOutputSpread}
+	if cfg.OutputTokens, err = cfg.OutputTokens.orDefault("output", LengthDist{Mean: defaultOutputMean, Spread: defaultOutputSpread}); err != nil {
+		return cfg, 0, 0, cuda.Config{}, err
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = defaultMaxBatch

@@ -171,6 +171,11 @@ func TestConfigValidation(t *testing.T) {
 		{"infinite rate", Config{RateQPS: math.Inf(1)}, "RateQPS"},
 		{"negative requests", Config{RateQPS: 1, Requests: -5}, "request count"},
 		{"kv too small", Config{RateQPS: 1, KVCapBytes: 1}, "block"},
+		{"negative prompt mean", Config{RateQPS: 1, PromptTokens: LengthDist{Mean: -1}}, "prompt length"},
+		{"negative output spread", Config{RateQPS: 1, OutputTokens: LengthDist{Mean: 64, Spread: -1}}, "output length"},
+		{"spread without mean", Config{RateQPS: 1, PromptTokens: LengthDist{Spread: 8}}, "prompt length"},
+		{"spread width overflows", Config{RateQPS: 1, OutputTokens: LengthDist{Mean: 1, Spread: math.MaxInt/2 + 1}}, "overflows"},
+		{"upper end overflows", Config{RateQPS: 1, PromptTokens: LengthDist{Mean: math.MaxInt - 3, Spread: 4}}, "overflows"},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.cfg); err == nil {

@@ -3,17 +3,16 @@ package sim
 // This file implements the run-to-completion actor runtime, the second of
 // the engine's two process models (DESIGN.md §12):
 //
-//   - A Proc is a goroutine-based coroutine: straight-line Go code that
+//   - A Proc is a stdlib coroutine (iter.Pull): straight-line Go code that
 //     blocks in Sleep/Acquire/Get/Wait. Every resume that yields costs two
-//     channel operations and two goroutine context switches
-//     (Engine.handoff / Proc.yield); only a Sleep that nothing can run
-//     ahead of advances the clock inline instead.
+//     coroutine switches (Engine.handoff / Proc.yield); only a Sleep that
+//     nothing can run ahead of advances the clock inline instead.
 //   - An Actor is a callback state machine: blocking points are spelled as
 //     continuations — Sleep(d, step, state), Resource.AcquireA, Queue.GetA,
 //     Signal.WaitA — and every step fires *inline* in the engine's dispatch
-//     loop. The common resume path does zero channel operations and zero
-//     goroutine switches, and because a continuation is a plain
-//     (func(any), state) pair riding the event arena, it allocates nothing.
+//     loop. The common resume path does zero coroutine switches, and
+//     because a continuation is a plain (func(any), state) pair riding the
+//     event arena, it allocates nothing.
 //
 // Both models interleave in one engine with identical event ordering: all
 // wake-ups flow through the event queue as (time, seq)-ordered events
@@ -32,7 +31,7 @@ package sim
 import "fmt"
 
 // Actor is a handle on a run-to-completion simulation task. Unlike a Proc
-// it has no goroutine and never blocks: code running "as" an actor registers
+// it has no coroutine and never blocks: code running "as" an actor registers
 // continuations with the engine or with waitable objects and returns. Steps
 // always execute inline in the engine loop, so actor code may freely touch
 // shared simulation state without locking, exactly like Proc code.

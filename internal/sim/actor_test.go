@@ -314,8 +314,8 @@ func TestMixedReplayByteIdentical(t *testing.T) {
 }
 
 // TestMixedStress is the -race stress: many procs and actors hammer one
-// Resource and Queue. Any cross-goroutine access bug between the engine's
-// inline actor steps and Proc goroutine handoffs shows up under `make race`.
+// Resource and Queue. Any unsynchronized access between the engine's inline
+// actor steps and Proc coroutine handoffs shows up under `make race`.
 func TestMixedStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")

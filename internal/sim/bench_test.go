@@ -41,7 +41,7 @@ func BenchmarkEngineScheduleFireDepth256(b *testing.B) {
 }
 
 // BenchmarkQueuePutGet measures the producer/consumer round trip through a
-// typed command queue, including the process context switches. Each Put
+// typed command queue, including the process coroutine switches. Each Put
 // schedules the consumer's wake at the current time, so the producer's
 // 1 ns pacing sleep always yields rather than advancing the clock inline.
 func BenchmarkQueuePutGet(b *testing.B) {
@@ -71,7 +71,7 @@ func BenchmarkQueuePutGet(b *testing.B) {
 }
 
 // BenchmarkQueuePutTryGet isolates the queue data structure itself (no
-// blocking, no context switch).
+// blocking, no coroutine switch).
 func BenchmarkQueuePutTryGet(b *testing.B) {
 	e := NewEngine()
 	q := NewQueue[int64](e)
@@ -84,7 +84,8 @@ func BenchmarkQueuePutTryGet(b *testing.B) {
 }
 
 // BenchmarkSignalBroadcast measures a one-to-N completion broadcast — the
-// resume-batching fast path.
+// resume-batching fast path. Each op also spawns nine processes, so it
+// carries the per-spawn coroutine setup (iter.Pull's allocations).
 func BenchmarkSignalBroadcast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()

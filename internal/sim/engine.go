@@ -1,19 +1,19 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine drives a set of cooperating tasks over a virtual clock.
-// Exactly one goroutine — either the engine loop or a single process — runs
-// at any moment; control is handed back and forth explicitly, so simulations
-// are fully deterministic and task code needs no locking.
+// Exactly one task — the engine loop or a single process — runs at any
+// moment; control passes back and forth as explicit coroutine switches, so
+// simulations are fully deterministic and task code needs no locking.
 //
 // Two task models share one engine (see DESIGN.md §12):
 //
-//   - Processes (Proc) are ordinary Go functions that receive a *Proc handle
-//     and use it to sleep, wait on signals, acquire resources, and exchange
+//   - Processes (Proc) are Go functions run as stdlib coroutines: they get a
+//     *Proc handle to sleep, wait on signals, acquire resources, and exchange
 //     items through queues. Host programs with complex control flow (CUDA
 //     applications, workload scripts) are written as processes.
 //   - Actors are run-to-completion state machines whose continuation steps
-//     fire inline in the engine loop — no goroutine, no channel operations
-//     per resume. Hot daemon loops (device engines, schedulers) use them.
+//     fire inline in the engine loop — no coroutine, no switch per resume.
+//     Hot daemon loops (device engines, schedulers) use them.
 //
 // Scheduling internals live in the eventq sub-package: a typed 4-ary
 // min-heap over an index-addressed arena with a free-list, so the steady
@@ -54,8 +54,8 @@ func (t Time) String() string { return Duration(t).String() }
 //	proc — resume this single blocked process (Sleep, Resource hand-over,
 //	       Queue wake — no closure allocated);
 //	cfn  — run an actor continuation step cfn(carg) inline in the engine
-//	       loop (the run-to-completion resume path: no channel operations,
-//	       no goroutine switch, no allocation).
+//	       loop (the run-to-completion resume path: no coroutine switch, no
+//	       allocation).
 type item struct {
 	fn   func()
 	proc *Proc
@@ -73,18 +73,15 @@ type Stats struct {
 	// Proc.Sleep that advances the clock inline (InlineSleeps) still counts
 	// the wake event it would have scheduled, fired and handed off, so
 	// Fired, Scheduled and Handoffs describe the simulation, not how the
-	// host ran it. Handoffs minus InlineSleeps is the number of channel
-	// round trips, each two goroutine switches — the cost of
-	// goroutine-based coroutines that the actor runtime's inline steps
-	// avoid.
+	// host ran it. Handoffs minus InlineSleeps is the number of coroutine
+	// round trips — the cost the actor runtime's inline steps avoid.
 	Handoffs uint64
 	// InlineSleeps counts Proc.Sleep calls that advanced the clock without
 	// yielding, because nothing else could run first (DESIGN.md §8). It is
 	// a physical count of host work saved and is never published to obs.
 	InlineSleeps uint64
 	// ActorSteps counts actor continuation steps fired inline in the
-	// engine loop — resumes that cost no channel operation and no
-	// goroutine switch.
+	// engine loop — resumes that cost no coroutine switch.
 	ActorSteps uint64
 	// AllocsAvoided counts event-arena slots served from the free-list —
 	// allocations the old pointer-heap design would have made.
@@ -98,10 +95,9 @@ type Stats struct {
 type Engine struct {
 	now      Time
 	queue    eventq.Queue[item]
-	token    chan struct{} // control hand-back from the running process
-	procs    int           // non-daemon processes spawned and not yet finished
-	actors   int           // non-daemon actors spawned and not yet Done
-	blocked  int           // processes currently waiting on something
+	procs    int // non-daemon processes spawned and not yet finished
+	actors   int // non-daemon actors spawned and not yet Done
+	blocked  int // processes currently waiting on something
 	running  bool
 	deadline Time // latest instant the running Run/RunUntil may reach
 	nested   bool // a process runs inside an actor step (finishAwait)
@@ -118,9 +114,7 @@ type Engine struct {
 }
 
 // NewEngine returns a fresh engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{token: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -195,7 +189,9 @@ func (e *Engine) dispatch(it item) {
 // Run dispatches events until the queue is empty, then returns the final
 // simulated time. Tasks that are still blocked when the queue drains are
 // deadlocked (they can never be resumed); Run panics in that case to surface
-// the modelling bug rather than silently dropping work.
+// the modelling bug rather than silently dropping work. A panic in a process
+// body or an actor step unwinds out of Run (or RunUntil) with its original
+// value and leaves the engine unusable.
 func (e *Engine) Run() Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")

@@ -516,8 +516,9 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 // BenchmarkProcContextSwitch measures one process resume round trip per
-// op: a switcher and a pacer sleep 1 ns in lockstep, so every sleep finds
-// the other's same-time wake pending and yields.
+// op — two coroutine switches plus the wake event: a switcher and a pacer
+// sleep 1 ns in lockstep, so every sleep finds the other's same-time wake
+// pending and yields.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
 	stop := false
@@ -605,4 +606,49 @@ func TestResourceAccessors(t *testing.T) {
 		}
 	}()
 	NewResource(e, 0)
+}
+
+// A panic in a process body unwinds out of Run/RunUntil with its original
+// value, whether the engine loop resumed the body directly or an Await
+// chain's completion resumed it from inside an actor step (finishAwait).
+func TestProcPanicUnwindsOutOfRun(t *testing.T) {
+	type boom struct{ where string }
+	catch := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+	cases := []struct {
+		name string
+		body func(p *Proc)
+		run  func(e *Engine)
+	}{
+		{"engine loop", func(p *Proc) {
+			p.Sleep(5)
+			panic(boom{"engine loop"})
+		}, func(e *Engine) { e.Run() }},
+		{"first resume", func(p *Proc) {
+			panic(boom{"first resume"})
+		}, func(e *Engine) { e.RunUntil(10) }},
+		{"await completion", func(p *Proc) {
+			p.Await(func(a *Actor, step func(any), state any) {
+				a.Sleep(5, step, state)
+			})
+			panic(boom{"await completion"})
+		}, func(e *Engine) { e.Run() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.SpawnDaemon("bystander", func(p *Proc) { NewSignal(e).Wait(p) })
+			e.Spawn("victim", tc.body)
+			r := catch(func() { tc.run(e) })
+			if got, ok := r.(boom); !ok || got.where != tc.name {
+				t.Fatalf("recovered %#v, want boom{%q}", r, tc.name)
+			}
+			if e.flushed.Fired == 0 || e.flushed != e.Stats() {
+				t.Fatalf("counters not flushed on the panicking run: flushed %+v, engine %+v", e.flushed, e.Stats())
+			}
+		})
+	}
 }

@@ -1,13 +1,18 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime"
+)
 
 // Proc is a handle on a simulation process. Process bodies receive their
-// Proc and use it for all time-consuming operations. A Proc must only be
-// used from its own goroutine.
+// Proc and use it for all time-consuming operations. The body runs as a
+// stdlib coroutine (iter.Pull); a Proc must only be used from inside it.
 type Proc struct {
 	eng    *Engine
-	resume chan struct{}
+	next   func() (struct{}, bool)
+	yieldc func(struct{}) bool
 	name   string
 	dead   bool
 	daemon bool
@@ -52,49 +57,50 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
 }
 
+// A body that never returns (a daemon, a deadlocked process) keeps its
+// coroutine parked for the life of the program.
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{eng: e, resume: make(chan struct{}), name: name, daemon: daemon}
+	p := &Proc{eng: e, name: name, daemon: daemon}
 	if !daemon {
 		e.procs++
 		e.liveProcs = trackLive(e.liveProcs, p, func(x *Proc) bool { return x.dead })
 	}
-	e.Schedule(0, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.dead = true
-			if !p.daemon {
-				e.procs--
-			}
-			e.token <- struct{}{}
-		}()
-		e.handoff(p)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldc = yield
+		fn(p)
+		p.dead = true
+		if !p.daemon {
+			e.procs--
+		}
 	})
+	e.scheduleProc(e.now, p)
 	return p
 }
 
-// handoff transfers control to p and blocks until p yields or finishes.
-// It must only be called from the engine loop (inside an event's fire).
+// handoff runs p until it yields or finishes, from the engine loop only; a
+// panic in p's body unwinds out of it. Coroutine switches never enter the Go
+// scheduler, which alone starts the GC's fractional mark worker (below 4 Ps),
+// so every 1024th real round trip yields to it and keeps the heap smaller.
 func (e *Engine) handoff(p *Proc) {
 	e.handoffs++
-	p.resume <- struct{}{}
-	<-e.token
+	if (e.handoffs-e.inline)%1024 == 0 {
+		runtime.Gosched()
+	}
+	p.next()
 }
 
-// yield transfers control back to the engine and blocks until some event
+// yield transfers control back to the engine and returns once some event
 // resumes this process.
 func (p *Proc) yield() {
-	e := p.eng
-	e.blocked++
-	e.token <- struct{}{}
-	<-p.resume
-	e.blocked--
+	p.eng.blocked++
+	p.yieldc(struct{}{})
+	p.eng.blocked--
 }
 
 // wake schedules an immediate event that resumes p. All resumptions flow
 // through the event queue so that ordering stays deterministic, but the
 // event carries the *Proc directly — no closure is allocated. Waking a
-// finished process panics: its goroutine is gone, so the resume could
+// finished process panics: its coroutine is gone, so the resume could
 // never be delivered.
 func (p *Proc) wake() {
 	if p.dead {
@@ -102,11 +108,6 @@ func (p *Proc) wake() {
 	}
 	p.blockedOn = ""
 	p.eng.scheduleProc(p.eng.now, p)
-}
-
-// wakeAt resumes p after d elapses.
-func (p *Proc) wakeAt(d Duration) {
-	p.eng.scheduleProc(p.eng.now.Add(d), p)
 }
 
 // Sleep suspends the process for d of simulated time; a negative d sleeps
@@ -117,7 +118,7 @@ func (p *Proc) wakeAt(d Duration) {
 // due at or before now+d, the running Run/RunUntil may reach now+d, and the
 // process was resumed straight from the engine loop rather than from inside
 // an actor step — Sleep advances the clock itself and returns without the
-// channel round trip. Ties break by insertion sequence, so a pending event
+// coroutine round trip. Ties break by insertion sequence, so a pending event
 // at exactly now+d runs first and the process still yields. The wake
 // event's logical counters are kept (see Stats.Handoffs).
 func (p *Proc) Sleep(d Duration) {
@@ -125,7 +126,8 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	e := p.eng
-	if at := e.now.Add(d); at <= e.deadline && !e.nested {
+	at := e.now.Add(d)
+	if at <= e.deadline && !e.nested {
 		if next, ok := e.queue.MinAt(); !ok || Time(next) > at {
 			e.sched++
 			e.fired++
@@ -135,7 +137,7 @@ func (p *Proc) Sleep(d Duration) {
 			return
 		}
 	}
-	p.wakeAt(d)
+	e.scheduleProc(at, p)
 	p.yield()
 }
 

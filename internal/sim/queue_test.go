@@ -2,8 +2,8 @@ package sim
 
 // Coverage for the generic Queue[T] conversion: typed FIFO ordering,
 // TryGet on empty, backing-array reuse, and multi-waiter determinism
-// (run these under -race: exactly one goroutine is ever runnable, and the
-// detector confirms every handoff is properly synchronized).
+// (run these under -race: exactly one task is ever runnable, and the
+// detector confirms every coroutine handoff is properly synchronized).
 
 import (
 	"testing"

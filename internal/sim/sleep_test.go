@@ -17,7 +17,7 @@ func yieldSleep(p *Proc, d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.wakeAt(d)
+	p.eng.scheduleProc(p.eng.now.Add(d), p)
 	p.yield()
 }
 
