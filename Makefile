@@ -51,6 +51,7 @@ golden:
 # allocation, so check runs them once without it.
 alloc-bound:
 	$(GO) test ./internal/serve -run AllocationBound -count=1
+	$(GO) test ./internal/figures -run CampaignAllocationBound -count=1
 
 check: fmt-check vet lint golden alloc-bound race
 

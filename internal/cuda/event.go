@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hccsim/internal/gpu"
 	"hccsim/internal/sim"
 	"hccsim/internal/trace"
 	"hccsim/internal/units"
@@ -12,10 +13,15 @@ import (
 // Event is a CUDA event: a timestamped marker recorded into a stream, the
 // standard device-side timing primitive (cudaEventRecord /
 // cudaEventElapsedTime). The recorded time is when the GPU reaches the
-// marker, not when the host enqueued it.
+// marker, not when the host enqueued it. Waiting on an event waits on the
+// recording channel's fence for the marker's ticket, so it shares one
+// park-ordered list with every other wait on that command; the Signal only
+// holds the marker's timestamp.
 type Event struct {
 	ctx      *Context
-	sig      *sim.Signal
+	ch       *gpu.Channel // channel of the latest Record
+	ticket   uint64       // the marker's ticket on ch
+	sig      *sim.Signal  // fires when the marker is reached
 	recorded bool
 }
 
@@ -34,8 +40,9 @@ func (e *Event) Record(s *Stream) {
 		s = c.def
 	}
 	c.p.Sleep(400 * time.Nanosecond)
-	e.sig = s.ch.SubmitMarker()
-	s.track(e.sig)
+	e.sig = sim.NewSignal(c.rt.eng)
+	e.ch = s.ch
+	e.ticket = s.ch.SubmitMarker(e.sig)
 	e.recorded = true
 }
 
@@ -45,7 +52,7 @@ func (e *Event) Synchronize() {
 	if !e.recorded {
 		panic("cuda: Synchronize on unrecorded event")
 	}
-	e.sig.Wait(e.ctx.p)
+	e.ch.Wait(e.ctx.p, e.ticket)
 }
 
 // Completed reports whether the event has fired (cudaEventQuery).
@@ -96,6 +103,5 @@ func (s *Stream) WaitEvent(e *Event) {
 	}
 	c := s.ctx
 	c.p.Sleep(300 * time.Nanosecond)
-	done := s.ch.SubmitWait(e.sig)
-	s.track(done)
+	s.ch.SubmitWait(e.ch, e.ticket)
 }

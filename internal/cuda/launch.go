@@ -55,8 +55,7 @@ func (c *Context) Launch(spec gpu.KernelSpec, s *Stream) {
 		Start: apiStart, End: c.p.Now(), Seq: seq,
 	})
 
-	done := s.ch.SubmitKernel(spec, seq, false)
-	s.track(done)
+	s.ch.SubmitKernel(spec, seq, false)
 
 	// Deferred driver work after the API returns: fence bookkeeping and
 	// reaping, heavier under CC. This is gap time (LQT), not KLO.
@@ -132,8 +131,7 @@ func (g *Graph) Launch(s *Stream) {
 		Start: apiStart, End: c.p.Now(), Seq: seq,
 	})
 	for i, spec := range g.specs {
-		done := s.ch.SubmitKernel(spec, seq, i > 0)
-		s.track(done)
+		s.ch.SubmitKernel(spec, seq, i > 0)
 	}
 	c.p.Sleep(rt.mode.LaunchPost(rt.params.LaunchPostBase, rt.params.LaunchPostCC))
 }

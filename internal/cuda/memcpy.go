@@ -153,8 +153,7 @@ func (c *Context) MemcpyAsync(dst, src *Buffer, bytes int64, s *Stream) {
 		// Async D2D still goes through the channel; model as an H2D-free
 		// command with blit timing folded into dispatch; rare in the suite.
 		c.p.Sleep(c.rt.params.AsyncCopySW)
-		done := s.ch.SubmitCopy(trace.KindMemcpyD2D, pcie.H2D, 0, false)
-		s.track(done)
+		s.ch.SubmitCopy(trace.KindMemcpyD2D, pcie.H2D, 0, false)
 		c.rt.dev.TransferDD(c.p, 0) // no-op keeps the API symmetric
 		return
 	}
@@ -162,6 +161,5 @@ func (c *Context) MemcpyAsync(dst, src *Buffer, bytes int64, s *Stream) {
 	if c.rt.mode.SoftwareCryptoPath() {
 		c.rt.pl.Encrypt(c.p, c.rt.params.CmdPacketBytes) // command packet
 	}
-	done := s.ch.SubmitCopy(cl.kind, cl.dir, bytes, cl.pinned)
-	s.track(done)
+	s.ch.SubmitCopy(cl.kind, cl.dir, bytes, cl.pinned)
 }

@@ -207,10 +207,12 @@ func (c *Context) Runtime() *Runtime { return c.rt }
 
 // Stream is a CUDA stream: an ordered queue of device work backed by one
 // GPU channel, with an in-flight launch window that throttles the host.
+// The window is the channel's tickets in flight, Submitted()-Completed():
+// every command on the stream (kernels, async copies, event markers and
+// waits) holds a ring slot until the channel completes it.
 type Stream struct {
-	ctx     *Context
-	ch      *gpu.Channel
-	pending []*sim.Signal
+	ctx *Context
+	ch  *gpu.Channel
 }
 
 func (c *Context) newStream() *Stream {
@@ -234,28 +236,14 @@ func (s *Stream) ID() int { return s.ch.ID() }
 
 // throttle blocks while the stream's in-flight window is full. The wait
 // happens before the next launch API starts, so the analyzer sees it as
-// launch queuing time (LQT), matching the paper's decomposition.
+// launch queuing time (LQT), matching the paper's decomposition. It waits
+// for one command at a time and re-checks, since a graph launch can
+// overfill the window by many commands.
 func (s *Stream) throttle() {
-	limit := s.ctx.rt.params.RingSlots
-	for len(s.pending) >= limit {
-		s.pending[0].Wait(s.ctx.p)
-		s.prune()
+	limit := uint64(s.ctx.rt.params.RingSlots)
+	for s.ch.Submitted()-s.ch.Completed() >= limit {
+		s.ch.Wait(s.ctx.p, s.ch.Completed()+1)
 	}
-}
-
-func (s *Stream) prune() {
-	keep := s.pending[:0]
-	for _, sig := range s.pending {
-		if !sig.Fired() {
-			keep = append(keep, sig)
-		}
-	}
-	s.pending = keep
-}
-
-// track registers a submitted command for window accounting.
-func (s *Stream) track(sig *sim.Signal) {
-	s.pending = append(s.pending, sig)
 }
 
 // Synchronize blocks until all work submitted to the stream has completed.
@@ -263,10 +251,7 @@ func (s *Stream) Synchronize() {
 	c := s.ctx
 	start := c.p.Now()
 	c.p.Sleep(c.rt.params.SyncSW)
-	if last := s.ch.Last(); last != nil {
-		last.Wait(c.p)
-	}
-	s.prune()
+	s.ch.Wait(c.p, s.ch.Submitted())
 	c.rt.tracer.Record(trace.Event{
 		Kind: trace.KindSync, Name: "cudaStreamSynchronize", Stream: s.ID(),
 		Start: start, End: c.p.Now(),
@@ -274,16 +259,12 @@ func (s *Stream) Synchronize() {
 }
 
 // Sync is cudaDeviceSynchronize: waits for every stream this context
-// created (the runtime tracks them through contexts' streams lazily via
-// markers on each stream's channel).
+// created, each up to the last command submitted to it.
 func (c *Context) Sync() {
 	start := c.p.Now()
 	c.p.Sleep(c.rt.params.SyncSW)
 	for _, s := range c.allStreams() {
-		if last := s.ch.Last(); last != nil {
-			last.Wait(c.p)
-		}
-		s.prune()
+		s.ch.Wait(c.p, s.ch.Submitted())
 	}
 	c.rt.tracer.Record(trace.Event{
 		Kind: trace.KindSync, Name: "cudaDeviceSynchronize", Stream: -1,

@@ -3,6 +3,11 @@
 // a serial compute engine with a roofline kernel-timing model, copy engines
 // riding the PCIe link, and the CC-mode additions (encrypted command
 // packets, bounce-buffered encrypted DMA).
+//
+// A channel carries its commands by value and reports completion through a
+// per-channel fence, a monotone count of completed commands, the way GPU
+// semaphores work: submitting returns a ticket, and waiting on a command is
+// waiting for the fence to reach its ticket.
 package gpu
 
 import (
@@ -208,19 +213,24 @@ func (d *Device) dispatchCost() time.Duration {
 // channel is drained in FIFO order by its own processor loop — a
 // run-to-completion actor state machine, since this is the hottest daemon
 // in the simulator — while dispatch and the compute engine are shared
-// across channels. The in-flight command state lives directly on the
-// Channel: exactly one command is ever being processed per channel, so the
-// loop allocates nothing in steady state.
+// across channels.
+//
+// Commands are stored by value in the channel's queue, and completion is a
+// per-channel fence, the way GPU semaphores work: every Submit returns a
+// ticket (the channel's submitted count after that command) and the
+// command is complete once the fence's count reaches it. Exactly one
+// command is ever being processed per channel and its state lives directly
+// on the Channel, so a warm channel's submit→complete cycle allocates
+// nothing.
 type Channel struct {
-	dev  *Device
-	id   int
-	q    *sim.Queue[command]
-	last *sim.Signal // completion of the most recent command
+	dev       *Device
+	id        int
+	q         *sim.Queue[command]
+	fence     *sim.Fence // count of completed commands
+	submitted uint64
 
 	a       *sim.Actor
-	kc      kernelCmd // kernel in flight
-	cc      copyCmd   // copy in flight
-	wc      waitCmd   // barrier in flight
+	cur     command   // kernel or copy in flight
 	mai     int       // next managed access of the kernel in flight
 	start   sim.Time  // engine-start time of the command in flight
 	managed bool      // copy in flight was demoted to encrypted paging
@@ -232,8 +242,9 @@ type Channel struct {
 func (d *Device) NewChannel() *Channel {
 	name := fmt.Sprintf("gpu-ch%d", len(d.channels))
 	ch := &Channel{dev: d, id: len(d.channels),
-		q:   sim.NewQueue[command](d.eng).SetLabel(name),
-		trk: d.obs.Track(name)}
+		q:     sim.NewQueue[command](d.eng).SetLabel(name),
+		fence: sim.NewFence(d.eng).SetLabel(name),
+		trk:   d.obs.Track(name)}
 	d.channels = append(d.channels, ch)
 	d.eng.SpawnActorDaemon(name, func(a *sim.Actor) {
 		ch.a = a
@@ -245,59 +256,83 @@ func (d *Device) NewChannel() *Channel {
 // ID returns the channel's index (stream id in traces).
 func (ch *Channel) ID() int { return ch.id }
 
-// Last returns the completion signal of the most recently submitted
-// command, or nil if nothing was submitted.
-func (ch *Channel) Last() *sim.Signal { return ch.last }
+// Submitted returns the number of commands ever submitted: the ticket of
+// the most recent one, or 0 if nothing was submitted.
+func (ch *Channel) Submitted() uint64 { return ch.submitted }
 
-type command interface{ isCommand() }
+// Completed returns the number of commands that have completed. Commands
+// complete in submission order, so ticket t is complete once Completed() >= t.
+func (ch *Channel) Completed() uint64 { return ch.fence.Completed() }
 
-type kernelCmd struct {
+// Wait blocks p until the command with the given ticket has completed,
+// returning without yielding if it already has. Every task waiting on one
+// command resumes at its completion in the order it parked.
+func (ch *Channel) Wait(p *sim.Proc, ticket uint64) { ch.fence.Wait(p, ticket) }
+
+// cmdKind tags a channel command.
+type cmdKind uint8
+
+const (
+	cmdKernel cmdKind = iota
+	cmdCopy
+	cmdMarker
+	cmdWait
+)
+
+// command is one GPFIFO entry: a tagged struct carried by value, so a
+// submit boxes nothing. Only the fields of its kind are set.
+type command struct {
+	kind cmdKind
+
+	// cmdKernel
 	spec    KernelSpec
 	seq     int // correlation id shared with the launch event
 	graphed bool
-	done    *sim.Signal
+
+	// cmdCopy
+	traceKind trace.Kind
+	dir       pcie.Direction
+	bytes     int64
+	pinned    bool // host-side buffer was pinned (CC demotes to managed)
+
+	// cmdMarker: stamp, if set, fires when the marker is reached.
+	stamp *sim.Signal
+
+	// cmdWait: stall until channel on completes command ticket.
+	on     *Channel
+	ticket uint64
 }
 
-type copyCmd struct {
-	kind   trace.Kind
-	dir    pcie.Direction
-	bytes  int64
-	pinned bool // host-side buffer was pinned (CC demotes to managed)
-	done   *sim.Signal
+// submit enqueues c and returns its ticket.
+func (ch *Channel) submit(c command) uint64 {
+	ch.q.Put(c)
+	ch.submitted++
+	return ch.submitted
 }
-
-type markerCmd struct {
-	done *sim.Signal
-}
-
-func (kernelCmd) isCommand() {}
-func (copyCmd) isCommand()   {}
-func (markerCmd) isCommand() {}
 
 // SubmitKernel enqueues a kernel; graphed nodes skip per-command
 // authentication overhead after the first (the whole graph is one packet).
-func (ch *Channel) SubmitKernel(spec KernelSpec, seq int, graphed bool) *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(kernelCmd{spec: spec, seq: seq, graphed: graphed, done: done})
-	ch.last = done
-	return done
+func (ch *Channel) SubmitKernel(spec KernelSpec, seq int, graphed bool) uint64 {
+	return ch.submit(command{kind: cmdKernel, spec: spec, seq: seq, graphed: graphed})
 }
 
 // SubmitCopy enqueues an async copy.
-func (ch *Channel) SubmitCopy(kind trace.Kind, dir pcie.Direction, bytes int64, pinned bool) *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(copyCmd{kind: kind, dir: dir, bytes: bytes, pinned: pinned, done: done})
-	ch.last = done
-	return done
+func (ch *Channel) SubmitCopy(kind trace.Kind, dir pcie.Direction, bytes int64, pinned bool) uint64 {
+	return ch.submit(command{kind: cmdCopy, traceKind: kind, dir: dir, bytes: bytes, pinned: pinned})
 }
 
-// SubmitMarker enqueues a synchronization marker that fires when every
-// earlier command on the channel has completed.
-func (ch *Channel) SubmitMarker() *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(markerCmd{done: done})
-	ch.last = done
-	return done
+// SubmitMarker enqueues a synchronization marker that completes when every
+// earlier command on the channel has completed; a non-nil stamp fires at
+// that moment, recording the device time (CUDA events use it).
+func (ch *Channel) SubmitMarker(stamp *sim.Signal) uint64 {
+	return ch.submit(command{kind: cmdMarker, stamp: stamp})
+}
+
+// SubmitWait enqueues a dependency barrier: the channel stalls until
+// channel on has completed the command with the given ticket (the device
+// half of cudaStreamWaitEvent).
+func (ch *Channel) SubmitWait(on *Channel, ticket uint64) uint64 {
+	return ch.submit(command{kind: cmdWait, on: on, ticket: ticket})
 }
 
 // chanNext fetches the channel's next command — the top of the processor
@@ -307,37 +342,38 @@ func chanNext(x any) {
 	ch.q.GetA(ch.a, chanDispatch, ch)
 }
 
+// chanComplete advances the channel's fence past the command in flight and
+// fetches the next one.
+func chanComplete(x any) {
+	ch := x.(*Channel)
+	ch.fence.Advance()
+	chanNext(ch)
+}
+
 // chanDispatch routes one command to its engine chain, FIFO.
-func chanDispatch(x any, cmd command) {
+func chanDispatch(x any, c command) {
 	ch := x.(*Channel)
 	d := ch.dev
-	switch c := cmd.(type) {
-	case kernelCmd:
-		ch.kc = c
+	switch c.kind {
+	case cmdKernel:
+		ch.cur = c
 		cost := d.dispatchCost()
 		if c.graphed {
 			// Graph nodes after the first dispatch from on-device state.
 			cost = d.params.DispatchBase / 4
 		}
 		d.cmdproc.UseA(ch.a, cost, kernelDispatched, ch)
-	case copyCmd:
-		ch.cc = c
+	case cmdCopy:
+		ch.cur = c
 		d.cmdproc.UseA(ch.a, d.dispatchCost(), copyDispatched, ch)
-	case markerCmd:
-		c.done.Fire()
-		chanNext(ch)
-	case waitCmd:
-		ch.wc = c
-		c.on.WaitA(ch.a, chanWaited, ch)
+	case cmdMarker:
+		if c.stamp != nil {
+			c.stamp.Fire()
+		}
+		chanComplete(ch)
+	case cmdWait:
+		c.on.fence.WaitA(ch.a, c.ticket, chanComplete, ch)
 	}
-}
-
-func chanWaited(x any) {
-	ch := x.(*Channel)
-	done := ch.wc.done
-	ch.wc = waitCmd{}
-	done.Fire()
-	chanNext(ch)
 }
 
 func kernelDispatched(x any) {
@@ -349,7 +385,7 @@ func kernelStarted(x any) {
 	ch := x.(*Channel)
 	ch.start = ch.a.Now()
 	ch.mai = 0
-	ch.sp = ch.trk.Begin(ch.kc.spec.Name)
+	ch.sp = ch.trk.Begin(ch.cur.spec.Name)
 	kernelFaults(ch)
 }
 
@@ -358,7 +394,7 @@ func kernelStarted(x any) {
 // kernel itself.
 func kernelFaults(x any) {
 	ch := x.(*Channel)
-	spec := &ch.kc.spec
+	spec := &ch.cur.spec
 	if ch.mai < len(spec.Managed) {
 		ma := spec.Managed[ch.mai]
 		ch.mai++
@@ -371,47 +407,42 @@ func kernelFaults(x any) {
 func kernelDone(x any) {
 	ch := x.(*Channel)
 	d := ch.dev
-	c := ch.kc
-	ch.kc = kernelCmd{}
 	ch.sp.End()
 	d.compute.Release()
 	d.kernelsRun++
 	d.tracer.Record(trace.Event{
-		Kind: trace.KindKernel, Name: c.spec.Name, Stream: ch.id,
-		Start: ch.start, End: ch.a.Now(), Seq: c.seq,
+		Kind: trace.KindKernel, Name: ch.cur.spec.Name, Stream: ch.id,
+		Start: ch.start, End: ch.a.Now(), Seq: ch.cur.seq,
 	})
-	c.done.Fire()
-	chanNext(ch)
+	ch.cur = command{}
+	chanComplete(ch)
 }
 
 func copyDispatched(x any) {
 	ch := x.(*Channel)
 	ch.start = ch.a.Now()
-	ch.sp = ch.trk.Begin("memcpyAsync").Bytes(ch.cc.bytes)
+	ch.sp = ch.trk.Begin("memcpyAsync").Bytes(ch.cur.bytes)
 	// Zero-byte copies (async D2D markers) complete inline, so the flag
 	// must be down before the call; a real transfer always crosses at
 	// least one DMA sleep, so the assignment lands before copyLanded runs.
 	ch.managed = false
-	ch.managed = ch.dev.TransferHDA(ch.a, ch.cc.dir, ch.cc.bytes, ch.cc.pinned, copyLanded, ch)
+	ch.managed = ch.dev.TransferHDA(ch.a, ch.cur.dir, ch.cur.bytes, ch.cur.pinned, copyLanded, ch)
 }
 
 func copyLanded(x any) {
 	ch := x.(*Channel)
-	d := ch.dev
-	c := ch.cc
-	ch.cc = copyCmd{}
 	ch.sp.End()
-	kind := c.kind
+	kind := ch.cur.traceKind
 	if ch.managed {
 		// Nsight labels CC "pinned" transfers as managed D2D.
 		kind = trace.KindMemcpyD2D
 	}
-	d.tracer.Record(trace.Event{
+	ch.dev.tracer.Record(trace.Event{
 		Kind: kind, Name: "memcpyAsync", Stream: ch.id,
-		Start: ch.start, End: ch.a.Now(), Bytes: c.bytes, Managed: ch.managed,
+		Start: ch.start, End: ch.a.Now(), Bytes: ch.cur.bytes, Managed: ch.managed,
 	})
-	c.done.Fire()
-	chanNext(ch)
+	ch.cur = command{}
+	chanComplete(ch)
 }
 
 // TransferHD moves bytes between host and device memory, charging the
@@ -463,20 +494,4 @@ func (d *Device) TransferDDA(a *sim.Actor, bytes int64, step func(any), state an
 		return
 	}
 	a.Sleep(2*time.Microsecond+units.StreamDuration(bytes, d.params.BlitGBps), step, state)
-}
-
-type waitCmd struct {
-	on   *sim.Signal
-	done *sim.Signal
-}
-
-func (waitCmd) isCommand() {}
-
-// SubmitWait enqueues a dependency barrier: the channel stalls until the
-// given signal fires (the device half of cudaStreamWaitEvent).
-func (ch *Channel) SubmitWait(on *sim.Signal) *sim.Signal {
-	done := sim.NewSignal(ch.dev.eng)
-	ch.q.Put(waitCmd{on: on, done: done})
-	ch.last = done
-	return done
 }

@@ -88,8 +88,7 @@ func TestChannelRunsKernelAndTraces(t *testing.T) {
 	ch := r.dev.NewChannel()
 	spec := KernelSpec{Name: "k1", Fixed: time.Millisecond}
 	r.run(func(p *sim.Proc) {
-		done := ch.SubmitKernel(spec, 42, false)
-		done.Wait(p)
+		ch.Wait(p, ch.SubmitKernel(spec, 42, false))
 	})
 	kernels := r.tracer.OfKind(trace.KindKernel)
 	if len(kernels) != 1 {
@@ -115,7 +114,7 @@ func TestCCDispatchSlowerThanBase(t *testing.T) {
 		r := newRig(mode)
 		ch := r.dev.NewChannel()
 		r.run(func(p *sim.Proc) {
-			ch.SubmitKernel(KernelSpec{Name: "k", Fixed: time.Microsecond}, 1, false).Wait(p)
+			ch.Wait(p, ch.SubmitKernel(KernelSpec{Name: "k", Fixed: time.Microsecond}, 1, false))
 		})
 		return r.tracer.OfKind(trace.KindKernel)[0].Start
 	}
@@ -131,9 +130,9 @@ func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
 	r.run(func(p *sim.Proc) {
 		d1 := ch.SubmitKernel(KernelSpec{Name: "a", Fixed: 10 * time.Millisecond}, 1, false)
 		d2 := ch.SubmitKernel(KernelSpec{Name: "b", Fixed: 10 * time.Millisecond}, 2, false)
-		d1.Wait(p)
+		ch.Wait(p, d1)
 		ends = append(ends, p.Now())
-		d2.Wait(p)
+		ch.Wait(p, d2)
 		ends = append(ends, p.Now())
 	})
 	if ends[1] < ends[0]+sim.Time(10*time.Millisecond) {
@@ -147,8 +146,8 @@ func TestStreamFIFOAndCrossStreamOverlapOfCopies(t *testing.T) {
 	end := r2.run(func(p *sim.Proc) {
 		k := chA.SubmitKernel(KernelSpec{Name: "k", Fixed: 50 * time.Millisecond}, 1, false)
 		c := chB.SubmitCopy(trace.KindMemcpyH2D, pcie.H2D, 512<<20, true)
-		k.Wait(p)
-		c.Wait(p)
+		chA.Wait(p, k)
+		chB.Wait(p, c)
 	})
 	// 512 MB pinned ~ 10 ms; overlapped with 50 ms kernel -> ~50 ms total.
 	if time.Duration(end) > 55*time.Millisecond {
@@ -238,8 +237,7 @@ func TestMarkerFiresAfterPriorWork(t *testing.T) {
 	var markerAt sim.Time
 	r.run(func(p *sim.Proc) {
 		ch.SubmitKernel(KernelSpec{Name: "k", Fixed: 5 * time.Millisecond}, 1, false)
-		m := ch.SubmitMarker()
-		m.Wait(p)
+		ch.Wait(p, ch.SubmitMarker(nil))
 		markerAt = p.Now()
 	})
 	if time.Duration(markerAt) < 5*time.Millisecond {
@@ -272,7 +270,7 @@ func TestUVMKernelSlowerUnderCC(t *testing.T) {
 		r.run(func(p *sim.Proc) {
 			spec := KernelSpec{Name: "uvmk", Fixed: time.Millisecond,
 				Managed: []ManagedAccess{{Range: rng, Bytes: 64 << 20}}}
-			ch.SubmitKernel(spec, 1, false).Wait(p)
+			ch.Wait(p, ch.SubmitKernel(spec, 1, false))
 		})
 		return r.tracer.OfKind(trace.KindKernel)[0].Duration()
 	}
@@ -280,5 +278,35 @@ func TestUVMKernelSlowerUnderCC(t *testing.T) {
 	cc := runKernel(ccmode.TDXH100{})
 	if ratio := float64(cc) / float64(base); ratio < 3 {
 		t.Fatalf("UVM kernel under CC only %.1fx slower (%v vs %v)", ratio, cc, base)
+	}
+}
+
+// countStep is a package-level continuation, so parking it allocates no
+// closure.
+func countStep(x any) { *x.(*int)++ }
+
+// TestChannelKernelCycleAllocatesNothing: once a channel is warm, a kernel's
+// submit→dispatch→execute→complete cycle, with a task parked on its ticket,
+// allocates no heap object — the command rides the queue by value and
+// completion is the channel fence, not a Signal per command.
+func TestChannelKernelCycleAllocatesNothing(t *testing.T) {
+	r := newRig(ccmode.TDXH100{})
+	r.dev.SetTracer(nil) // the trace recorder's storage is not the launch path's
+	ch := r.dev.NewChannel()
+	var host *sim.Actor
+	r.eng.SpawnActorDaemon("host", func(a *sim.Actor) { host = a })
+	r.eng.Run()
+	spec := KernelSpec{Name: "k", Blocks: 64, ThreadsPerBlock: 256, FLOPs: 1e6, MemBytes: 1 << 20}
+	woken := 0
+	cycle := func() {
+		ch.fence.WaitA(host, ch.SubmitKernel(spec, 1, false), countStep, &woken)
+		r.eng.Run()
+	}
+	allocs := testing.AllocsPerRun(100, cycle)
+	if allocs != 0 {
+		t.Errorf("warm kernel cycle allocated %.1f objects, want 0", allocs)
+	}
+	if want := uint64(101); ch.Completed() != want || woken != int(want) {
+		t.Errorf("completed %d, woken %d, want %d each", ch.Completed(), woken, want)
 	}
 }

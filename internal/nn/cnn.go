@@ -9,6 +9,7 @@ package nn
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"hccsim/internal/cuda"
@@ -230,9 +231,19 @@ func iterationKernels(cfg TrainConfig) []gpu.KernelSpec {
 		per = 1500 * time.Nanosecond // kernel floor: scheduling + tiny tensors
 	}
 	specs := make([]gpu.KernelSpec, kernels)
+	names := moduleNames(m.Name+"."+cfg.Precision.String(), min(kernels, 24)) // 24 distinct modules
 	for i := range specs {
-		name := fmt.Sprintf("%s.%s.k%d", m.Name, cfg.Precision, i%24) // 24 distinct modules
-		specs[i] = gpu.KernelSpec{Name: name, Fixed: per}
+		specs[i] = gpu.KernelSpec{Name: names[i%24], Fixed: per}
 	}
 	return specs
+}
+
+// moduleNames returns the n kernel names prefix.k0 … prefix.k<n-1>. Kernel
+// sequences cycle through a few modules, so each name is built once.
+func moduleNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = prefix + ".k" + strconv.Itoa(i)
+	}
+	return names
 }

@@ -1,6 +1,9 @@
 package nn
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestModelsTable(t *testing.T) {
 	ms := Models()
@@ -170,5 +173,33 @@ func TestPrefillShape(t *testing.T) {
 	awq := PrefillSimulate(VLLM, AWQ, 512, "tdx-h100")
 	if awq.WeightLoad >= cc.WeightLoad {
 		t.Fatal("AWQ checkpoint load not faster than BF16")
+	}
+}
+
+// TestKernelNamesMatchFormat pins the interned kernel names to the
+// fmt.Sprintf spelling they replaced, byte for byte.
+func TestKernelNamesMatchFormat(t *testing.T) {
+	for _, m := range Models() {
+		for _, prec := range []Precision{FP32, AMP, FP16} {
+			for i, k := range iterationKernels(TrainConfig{Model: m, Batch: 64, Precision: prec}) {
+				if want := fmt.Sprintf("%s.%s.k%d", m.Name, prec, i%24); k.Name != want {
+					t.Fatalf("%s/%s kernel %d named %q, want %q", m.Name, prec, i, k.Name, want)
+				}
+			}
+		}
+	}
+	for _, b := range []Backend{HF, VLLM} {
+		for _, q := range []Quant{BF16, AWQ} {
+			for i, k := range DecodeSpecs(b, q, 8) {
+				if want := fmt.Sprintf("decode.%s.k%d", q, i%16); k.Name != want {
+					t.Fatalf("decode %s/%s kernel %d named %q, want %q", b, q, i, k.Name, want)
+				}
+			}
+			for i, k := range PrefillSpecs(b, q, 512) {
+				if want := fmt.Sprintf("prefill.%s.k%d", q, i%16); k.Name != want {
+					t.Fatalf("prefill %s/%s kernel %d named %q, want %q", b, q, i, k.Name, want)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"time"
 
 	"hccsim/internal/gpu"
@@ -52,9 +51,10 @@ func DecodeSpecs(b Backend, q Quant, batch int) []gpu.KernelSpec {
 	memPerKernel := weightBytes / int64(prof.kernelsPerStep)
 	flops := flopsPerToken * float64(batch) * computeScaleOf(q) / float64(prof.kernelsPerStep)
 	specs := make([]gpu.KernelSpec, prof.kernelsPerStep)
+	names := moduleNames("decode."+q.String(), min(len(specs), 16))
 	for i := range specs {
 		specs[i] = gpu.KernelSpec{
-			Name:            fmt.Sprintf("decode.%s.k%d", q, i%16),
+			Name:            names[i%16],
 			Blocks:          grid(batch),
 			ThreadsPerBlock: 256,
 			FLOPs:           flops * (60.0 / prof.tensorTFLOPs), // rescale to backend-achieved rate
@@ -72,9 +72,10 @@ func PrefillSpecs(b Backend, q Quant, promptTokens int) []gpu.KernelSpec {
 	weightBytes := WeightBytes(q)
 	prefillFlops := flopsPerToken * float64(promptTokens) * computeScaleOf(q)
 	specs := make([]gpu.KernelSpec, prof.kernelsPerStep)
+	names := moduleNames("prefill."+q.String(), min(len(specs), 16))
 	for i := range specs {
 		specs[i] = gpu.KernelSpec{
-			Name:            fmt.Sprintf("prefill.%s.k%d", q, i%16),
+			Name:            names[i%16],
 			Blocks:          2048,
 			ThreadsPerBlock: 256,
 			FLOPs:           prefillFlops / float64(prof.kernelsPerStep) * (60.0 / prof.tensorTFLOPs),

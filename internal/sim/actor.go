@@ -9,10 +9,10 @@ package sim
 //     nothing can run ahead of advances the clock inline instead.
 //   - An Actor is a callback state machine: blocking points are spelled as
 //     continuations — Sleep(d, step, state), Resource.AcquireA, Queue.GetA,
-//     Signal.WaitA — and every step fires *inline* in the engine's dispatch
-//     loop. The common resume path does zero coroutine switches, and
-//     because a continuation is a plain (func(any), state) pair riding the
-//     event arena, it allocates nothing.
+//     Signal.WaitA, Fence.WaitA — and every step fires *inline* in the
+//     engine's dispatch loop. The common resume path does zero coroutine
+//     switches, and because a continuation is a plain (func(any), state)
+//     pair riding the event arena, it allocates nothing.
 //
 // Both models interleave in one engine with identical event ordering: all
 // wake-ups flow through the event queue as (time, seq)-ordered events
@@ -126,7 +126,7 @@ func (a *Actor) Sleep(d Duration, step func(any), state any) {
 	e.scheduleStep(e.now.Add(d), step, state)
 }
 
-// waiter is one parked task on a wait list (Resource, Queue, Signal):
+// waiter is one parked task on a wait list (Resource, Queue, Signal, Fence):
 // either a blocked Proc or a parked actor continuation.
 type waiter struct {
 	proc  *Proc

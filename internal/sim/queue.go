@@ -12,17 +12,17 @@ import "fmt"
 // enqueue their command structs directly and Get returns them typed, with
 // no per-item heap allocation and no type assertion on the hot path.
 //
-// Items live in a sliding window of one backing slice: Get advances a head
-// index instead of re-slicing, and the backing array is reused from the
-// start whenever the queue drains, so an alternating Put/Get steady state
-// allocates nothing.
+// Items and parked getters each live in a fifo, so an alternating Put/Get
+// steady state allocates nothing.
 type Queue[T any] struct {
 	eng       *Engine
-	items     []T
-	head      int
-	getters   []waiter
+	items     fifo[T]
+	getters   fifo[waiter]
 	blockName string
 	frames    FramePool[getFrame[T]]
+	// wake is getWake[T], built once: a generic function value carries its
+	// type dictionary, so naming it afresh on every park allocates.
+	wake func(any)
 
 	maxDepth int
 	puts     uint64
@@ -38,7 +38,7 @@ func (q *Queue[T]) SetLabel(label string) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // MaxDepth returns the high-water mark of the queue length.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
@@ -48,15 +48,13 @@ func (q *Queue[T]) Puts() uint64 { return q.puts }
 
 // Put appends an item and wakes one blocked getter, if any.
 func (q *Queue[T]) Put(item T) {
-	q.items = append(q.items, item)
+	q.items.push(item)
 	q.puts++
 	if q.Len() > q.maxDepth {
 		q.maxDepth = q.Len()
 	}
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.wakeWaiter(g)
+	if q.getters.len() > 0 {
+		q.eng.wakeWaiter(q.getters.pop())
 	}
 }
 
@@ -65,50 +63,25 @@ func (q *Queue[T]) Put(item T) {
 // to return a deferred or preempted item to the front so the original FIFO
 // admission order is preserved.
 func (q *Queue[T]) PutFront(item T) {
-	if q.head > 0 {
-		q.head--
-		q.items[q.head] = item
-	} else {
-		var zero T
-		q.items = append(q.items, zero)
-		copy(q.items[1:], q.items)
-		q.items[0] = item
-	}
+	q.items.pushFront(item)
 	q.puts++
 	if q.Len() > q.maxDepth {
 		q.maxDepth = q.Len()
 	}
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.eng.wakeWaiter(g)
+	if q.getters.len() > 0 {
+		q.eng.wakeWaiter(q.getters.pop())
 	}
-}
-
-// take removes and returns the oldest item; the queue must be non-empty.
-// The vacated slot is zeroed so the queue never pins consumed items, and
-// the window resets to the front of the backing array on drain.
-func (q *Queue[T]) take() T {
-	item := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return item
 }
 
 // Get removes and returns the oldest item, blocking p while the queue is
 // empty. Concurrent getters are served FIFO.
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.Len() == 0 {
-		q.getters = append(q.getters, waiter{proc: p})
+		q.getters.push(waiter{proc: p})
 		p.blockedOn = q.blockName
 		p.yield()
 	}
-	return q.take()
+	return q.items.pop()
 }
 
 // TryGet removes and returns the oldest item without blocking; ok is false
@@ -118,7 +91,7 @@ func (q *Queue[T]) TryGet() (item T, ok bool) {
 		var zero T
 		return zero, false
 	}
-	return q.take(), true
+	return q.items.pop(), true
 }
 
 // getFrame carries one parked GetA; recycled through the queue's pool.
@@ -137,13 +110,16 @@ type getFrame[T any] struct {
 // park/wake cycle allocates nothing.
 func (q *Queue[T]) GetA(a *Actor, step func(state any, item T), state any) {
 	if q.Len() > 0 {
-		step(state, q.take())
+		step(state, q.items.pop())
 		return
 	}
 	f := q.frames.Get()
 	f.q, f.a, f.step, f.state = q, a, step, state
 	a.blockedOn = q.blockName
-	q.getters = append(q.getters, waiter{actor: a, fn: getWake[T], arg: f})
+	if q.wake == nil {
+		q.wake = getWake[T]
+	}
+	q.getters.push(waiter{actor: a, fn: q.wake, arg: f})
 }
 
 // getWake resumes a parked GetA: deliver the head item, or re-park if
@@ -153,10 +129,61 @@ func getWake[T any](x any) {
 	q := f.q
 	if q.Len() == 0 {
 		f.a.blockedOn = q.blockName
-		q.getters = append(q.getters, waiter{actor: f.a, fn: getWake[T], arg: f})
+		q.getters.push(waiter{actor: f.a, fn: q.wake, arg: f})
 		return
 	}
 	step, state := f.step, f.state
 	q.frames.Put(f)
-	step(state, q.take())
+	step(state, q.items.pop())
+}
+
+// fifo is a first-in first-out list in one backing slice. Pop advances a
+// head index instead of re-slicing, so the array keeps its capacity and is
+// reused from the front once the list drains; popped slots are zeroed so
+// the list never pins what it handed out. A push that finds the array full
+// with at least half of it already popped slides the live part to the
+// front instead of growing, so a list that never drains stays within twice
+// its peak length.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// push appends x at the back.
+func (f *fifo[T]) push(x T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, x)
+}
+
+// pushFront inserts x ahead of every queued element.
+func (f *fifo[T]) pushFront(x T) {
+	if f.head > 0 {
+		f.head--
+		f.buf[f.head] = x
+		return
+	}
+	var zero T
+	f.buf = append(f.buf, zero)
+	copy(f.buf[1:], f.buf)
+	f.buf[0] = x
+}
+
+// pop removes and returns the oldest element; the list must be non-empty.
+func (f *fifo[T]) pop() T {
+	x := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return x
 }

@@ -101,20 +101,20 @@ func TestQueueReusesBackingArray(t *testing.T) {
 	q := NewQueue[int](e)
 	q.Put(1)
 	q.Put(2)
-	q.take()
-	q.take()
-	if q.head != 0 || len(q.items) != 0 {
-		t.Fatalf("window did not reset on drain: head=%d len=%d", q.head, len(q.items))
+	q.items.pop()
+	q.items.pop()
+	if q.items.head != 0 || len(q.items.buf) != 0 {
+		t.Fatalf("window did not reset on drain: head=%d len=%d", q.items.head, len(q.items.buf))
 	}
-	before := cap(q.items)
+	before := cap(q.items.buf)
 	for i := 0; i < 100; i++ {
 		q.Put(i)
 		if v, ok := q.TryGet(); !ok || v != i {
 			t.Fatalf("TryGet = (%d, %v), want (%d, true)", v, ok, i)
 		}
 	}
-	if cap(q.items) != before {
-		t.Fatalf("steady-state put/get grew backing array: %d -> %d", before, cap(q.items))
+	if cap(q.items.buf) != before {
+		t.Fatalf("steady-state put/get grew backing array: %d -> %d", before, cap(q.items.buf))
 	}
 }
 
@@ -124,8 +124,8 @@ func TestQueueGetReleasesConsumedItems(t *testing.T) {
 	v := 7
 	q.Put(&v)
 	q.Put(new(int)) // keep the window open so the first slot stays in items
-	q.take()
-	if q.items[0] != nil {
+	q.items.pop()
+	if q.items.buf[0] != nil {
 		t.Fatal("consumed slot still references its item")
 	}
 }
@@ -166,5 +166,27 @@ func TestQueuePutFrontOrdersAheadAndWakesGetter(t *testing.T) {
 	}
 	if q.Puts() != 6 {
 		t.Fatalf("puts=%d, want 6", q.Puts())
+	}
+}
+
+// TestFifoStaysBoundedWithoutDraining: a list that always keeps a few
+// elements queued never resets on drain, so pushes must reuse the popped
+// front instead of growing the array with every element ever pushed.
+func TestFifoStaysBoundedWithoutDraining(t *testing.T) {
+	var f fifo[int]
+	for i := 0; i < 3; i++ {
+		f.push(i)
+	}
+	for i := 3; i < 100_000; i++ {
+		f.push(i)
+		if got := f.pop(); got != i-3 {
+			t.Fatalf("pop = %d, want %d", got, i-3)
+		}
+	}
+	if f.len() != 3 {
+		t.Fatalf("len = %d, want 3", f.len())
+	}
+	if c := cap(f.buf); c > 16 {
+		t.Fatalf("backing array grew to %d for a list of 3 or 4", c)
 	}
 }

@@ -11,7 +11,7 @@ type Resource struct {
 	eng       *Engine
 	capacity  int
 	inUse     int
-	waiters   []waiter
+	waiters   fifo[waiter]
 	blockName string
 	usePool   FramePool[useFrame]
 
@@ -42,7 +42,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of tasks blocked in Acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 func (r *Resource) account() {
 	now := r.eng.now
@@ -63,12 +63,12 @@ func (r *Resource) BusyTime() Duration {
 
 // Acquire takes one unit, blocking p FIFO-fashion until one is free.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.account()
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, waiter{proc: p})
+	r.waiters.push(waiter{proc: p})
 	p.blockedOn = r.blockName
 	p.yield()
 	// Our releaser handed the unit to us directly; inUse already counts it.
@@ -78,14 +78,14 @@ func (r *Resource) Acquire(p *Proc) {
 // continuation runs inline (matching Acquire's synchronous fast path),
 // otherwise it parks FIFO behind earlier waiters of either task model.
 func (r *Resource) AcquireA(a *Actor, step func(any), state any) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.account()
 		r.inUse++
 		step(state)
 		return
 	}
 	a.blockedOn = r.blockName
-	r.waiters = append(r.waiters, waiter{actor: a, fn: step, arg: state})
+	r.waiters.push(waiter{actor: a, fn: step, arg: state})
 }
 
 // Release frees one unit. If tasks are waiting, ownership passes to the
@@ -96,10 +96,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource")
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.eng.wakeWaiter(next)
+	if r.waiters.len() > 0 {
+		r.eng.wakeWaiter(r.waiters.pop())
 		return
 	}
 	r.account()

@@ -130,17 +130,20 @@ func (x *XTS) block(dst, src []byte, t *[16]byte, encrypt bool) {
 	x.blockWith(dst, src, t, encrypt)
 }
 
+// blockWith works in dst itself (dst and src are the same block or do not
+// overlap): a local scratch block would escape through the cipher.Block
+// interface and cost a heap allocation per block.
 func (x *XTS) blockWith(dst, src []byte, t *[16]byte, encrypt bool) {
-	var buf [16]byte
+	dst = dst[:16]
 	for i := 0; i < 16; i++ {
-		buf[i] = src[i] ^ t[i]
+		dst[i] = src[i] ^ t[i]
 	}
 	if encrypt {
-		x.data.Encrypt(buf[:], buf[:])
+		x.data.Encrypt(dst, dst)
 	} else {
-		x.data.Decrypt(buf[:], buf[:])
+		x.data.Decrypt(dst, dst)
 	}
 	for i := 0; i < 16; i++ {
-		dst[i] = buf[i] ^ t[i]
+		dst[i] ^= t[i]
 	}
 }

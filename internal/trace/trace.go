@@ -7,7 +7,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -157,84 +159,107 @@ type Metrics struct {
 	KLOs, KETs []time.Duration
 }
 
-// Analyze extracts Metrics from the trace.
+// Analyze extracts Metrics from the trace. It works on int32 indices into
+// the recorded events rather than copies of them, and allocates its scratch
+// space up front.
 func (t *Tracer) Analyze() Metrics {
 	var m Metrics
-	var launches, kernels []Event
-	busy := make([]Event, 0, len(t.events)) // host-side API events for gap accounting
-	for _, e := range t.events {
+	ev := t.events
+	nBusy := 0 // host-side API events for gap accounting
+	for i := range ev {
+		switch ev[i].Kind {
+		case KindLaunch:
+			m.Launches++
+			nBusy++
+		case KindKernel:
+			m.Kernels++
+		case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D, KindAlloc, KindFree, KindSync:
+			nBusy++
+		}
+	}
+	if m.Launches > 0 {
+		m.KLOs = make([]time.Duration, 0, m.Launches)
+	}
+	if m.Kernels > 0 {
+		m.KETs = make([]time.Duration, 0, m.Kernels)
+	}
+	idx := make([]int32, 0, m.Launches+m.Kernels+nBusy)
+	launches := idx[:0:m.Launches]
+	kernels := idx[m.Launches : m.Launches : m.Launches+m.Kernels]
+	busy := idx[m.Launches+m.Kernels : m.Launches+m.Kernels]
+	for i := range ev {
+		e := &ev[i]
+		d := e.Duration()
 		switch e.Kind {
 		case KindLaunch:
-			m.KLO += e.Duration()
-			m.KLOs = append(m.KLOs, e.Duration())
-			m.Launches++
-			launches = append(launches, e)
-			busy = append(busy, e)
+			m.KLO += d
+			m.KLOs = append(m.KLOs, d)
+			launches = append(launches, int32(i))
+			busy = append(busy, int32(i))
 		case KindKernel:
-			m.KET += e.Duration()
-			m.KETs = append(m.KETs, e.Duration())
-			m.Kernels++
-			kernels = append(kernels, e)
+			m.KET += d
+			m.KETs = append(m.KETs, d)
+			kernels = append(kernels, int32(i))
 		case KindMemcpyH2D:
-			m.CopyH2D += e.Duration()
-			busy = append(busy, e)
+			m.CopyH2D += d
+			busy = append(busy, int32(i))
 		case KindMemcpyD2H:
-			m.CopyD2H += e.Duration()
-			busy = append(busy, e)
+			m.CopyD2H += d
+			busy = append(busy, int32(i))
 		case KindMemcpyD2D:
-			m.CopyD2D += e.Duration()
-			busy = append(busy, e)
+			m.CopyD2D += d
+			busy = append(busy, int32(i))
 		case KindAlloc:
-			m.AllocTime += e.Duration()
-			busy = append(busy, e)
+			m.AllocTime += d
+			busy = append(busy, int32(i))
 		case KindFree:
-			m.FreeTime += e.Duration()
-			busy = append(busy, e)
+			m.FreeTime += d
+			busy = append(busy, int32(i))
 		case KindSync:
-			m.SyncTime += e.Duration()
-			busy = append(busy, e)
+			m.SyncTime += d
+			busy = append(busy, int32(i))
 		}
 		if e.Kind == KindMemcpyH2D || e.Kind == KindMemcpyD2H || e.Kind == KindMemcpyD2D {
 			if e.Managed {
-				m.ManagedCopy += e.Duration()
+				m.ManagedCopy += d
 			}
 		}
 	}
 
 	// LQT: gaps between consecutive launches not covered by other API work.
-	sort.Slice(launches, func(i, j int) bool { return launches[i].Start < launches[j].Start })
-	sort.Slice(busy, func(i, j int) bool { return busy[i].Start < busy[j].Start })
+	byStart := func(a, b int32) int { return cmp.Compare(ev[a].Start, ev[b].Start) }
+	slices.SortFunc(launches, byStart)
+	slices.SortFunc(busy, byStart)
 	// reach[j] is the latest End among busy[:j+1]. Every event before the
 	// first reach past a gap's start ends by then, so overlapWith would skip
 	// it; each gap's scan starts at that event instead of at busy[0].
 	reach := make([]sim.Time, len(busy))
-	for j, e := range busy {
-		reach[j] = e.End
-		if j > 0 && reach[j-1] > e.End {
+	for j, b := range busy {
+		reach[j] = ev[b].End
+		if j > 0 && reach[j-1] > reach[j] {
 			reach[j] = reach[j-1]
 		}
 	}
 	for i := 1; i < len(launches); i++ {
-		gapStart, gapEnd := launches[i-1].End, launches[i].Start
+		prev, cur := &ev[launches[i-1]], &ev[launches[i]]
+		gapStart, gapEnd := prev.End, cur.Start
 		if gapEnd <= gapStart {
 			continue
 		}
 		from := sort.Search(len(reach), func(j int) bool { return reach[j] > gapStart })
-		covered := overlapWith(busy[from:], gapStart, gapEnd, launches[i].Seq, launches[i-1].Seq)
+		covered := overlapWith(ev, busy[from:], gapStart, gapEnd, cur.Seq, prev.Seq)
 		gap := gapEnd.Sub(gapStart) - covered
 		if gap > 0 {
 			m.LQT += gap
 		}
 	}
 
-	// KQT: match kernels to launches by correlation id.
-	launchBySeq := make(map[int]Event, len(launches))
-	for _, l := range launches {
-		launchBySeq[l.Seq] = l
-	}
+	// KQT: match kernels to launches by correlation id; for a duplicated
+	// seq the launch latest in start order wins.
+	lookup := newSeqIndex(ev, launches, t.seq+len(ev))
 	for _, k := range kernels {
-		if l, ok := launchBySeq[k.Seq]; ok {
-			if q := k.Start.Sub(l.End); q > 0 {
+		if l, ok := lookup.find(ev[k].Seq); ok {
+			if q := ev[k].Start.Sub(ev[l].End); q > 0 {
 				m.KQT += q
 			}
 		}
@@ -242,13 +267,56 @@ func (t *Tracer) Analyze() Metrics {
 	return m
 }
 
-// overlapWith sums the portions of [start, end] covered by busy events,
-// skipping the two launches that bound the gap. busy is sorted by Start, so
-// the scan stops at the first event that starts at or after end.
-func overlapWith(busy []Event, start, end sim.Time, skipA, skipB int) time.Duration {
+// seqIndex maps a launch seq to the launch's event index. Seqs from NextSeq
+// are dense, so they index a slice sized by the largest one up to limit; a
+// seq outside that range (negative, or beyond limit, which only a
+// caller-supplied Seq can be) goes to a map built only when one occurs.
+type seqIndex struct {
+	dense  []int32 // event index + 1; 0 means no launch
+	sparse map[int]int32
+}
+
+func newSeqIndex(ev []Event, launches []int32, limit int) seqIndex {
+	top := -1
+	for _, l := range launches {
+		if s := ev[l].Seq; s > top && s <= limit {
+			top = s
+		}
+	}
+	x := seqIndex{dense: make([]int32, top+1)}
+	for _, l := range launches {
+		s := ev[l].Seq
+		if s >= 0 && s <= top {
+			x.dense[s] = l + 1
+			continue
+		}
+		if x.sparse == nil {
+			x.sparse = make(map[int]int32)
+		}
+		x.sparse[s] = l
+	}
+	return x
+}
+
+// find returns the event index of the launch with the given seq.
+func (x seqIndex) find(seq int) (int32, bool) {
+	if seq >= 0 && seq < len(x.dense) {
+		l := x.dense[seq]
+		return l - 1, l > 0
+	}
+	l, ok := x.sparse[seq]
+	return l, ok
+}
+
+// overlapWith sums the portions of [start, end] covered by the busy events
+// (indices into ev), skipping the two launches that bound the gap. busy is
+// sorted by Start, so the scan stops at the first event that starts at or
+// after end.
+func overlapWith(ev []Event, busy []int32, start, end sim.Time, skipA, skipB int) time.Duration {
 	var covered time.Duration
 	cursor := start
-	for _, e := range busy {
+	for _, b := range busy {
+		e := &ev[b]
 		if e.Start >= end {
 			break
 		}
